@@ -1,5 +1,5 @@
 """Classification of shots into the crossing / ground-state / positive
-trichotomy, plus concurrent sweeps over initial heights.
+trichotomy, plus sweeps over initial heights.
 
 A shot alpha is a crossing solution when the profile hits zero with
 strictly negative slope at finite radius, positive when it bottoms out
@@ -15,7 +15,6 @@ crossing shot (the "crossing measure") grows strictly with alpha,
 quantifying how far past the ground state the shot is.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +66,7 @@ class ShotOutcome:
         }
 
 
-def classification_tolerance(alpha, class_tol=None):
-    """Default tolerance band 1e-8 * alpha: the problem is not scale
-    invariant, but numerical errors are relative to the shot height."""
-    return 1e-8 * alpha if class_tol is None else class_tol
-
-
-def classify(model, alpha, controls=None, class_tol=None, keep_trajectory=False):
+def classify(model, alpha, controls=None, keep_trajectory=False):
     """Integrate one shot and map it to Crossing/GroundCandidate/
     Positive/Inconclusive; alpha <= u0 is rejected since such shots can
     never cross zero (their energy is negative from the start)."""
@@ -85,7 +78,9 @@ def classify(model, alpha, controls=None, class_tol=None, keep_trajectory=False)
             witness={"alpha": alpha, "u0": model.u0},
         )
     traj = integrate_ivp(model, alpha, controls)
-    eps = classification_tolerance(alpha, class_tol)
+    # the problem is not scale invariant, but numerical errors are
+    # relative to the shot height
+    eps = 1e-8 * alpha
     R, u_R, du_R = traj.R, traj.u_R, traj.du_R
     E_R = energy(model, traj, R)[0]
 
@@ -141,9 +136,12 @@ def alpha_grid(alpha_lo, alpha_hi, count, spacing="geometric"):
 
 def sweep(model, alpha_lo, alpha_hi, count, controls=None, spacing="geometric",
           threads=None, keep_trajectories=False):
-    """Classify a grid of shots concurrently; output order matches the
-    input grid and individual failures are recorded as Inconclusive
-    instead of aborting the sweep."""
+    """Classify a grid of shots in order; individual failures are
+    recorded as Inconclusive instead of aborting the sweep.
+
+    threads is accepted and ignored: shots run serially, which measured
+    faster than a thread pool because the right-hand sides are Python
+    code that holds the interpreter lock."""
     controls = controls or IntegratorControls()
     if not alpha_lo > model.u0:
         raise DomainError(f"sweep needs alpha_lo > u0={model.u0}")
@@ -161,10 +159,7 @@ def sweep(model, alpha_lo, alpha_hi, count, controls=None, spacing="geometric",
                 stop_event=f"error: {exc.message}",
             )
 
-    if threads == 1:
-        return [one(a) for a in alphas]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, alphas))
+    return [one(a) for a in alphas]
 
 
 def transition_bracket(outcomes):

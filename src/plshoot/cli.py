@@ -4,7 +4,7 @@ Subcommands: check, integrate, classify, ground-state, dirichlet,
 variational, transform, verify.  Exit codes: 0 success, 1 domain or
 precondition error, 2 usage/config error, 3 verification-suite failure.
 Errors go to stderr as single-line JSON records with code, message,
-witness.  Only --threads touches scheduling; results never depend on it.
+witness.  --threads is accepted for compatibility; shots run serially.
 """
 
 import argparse
@@ -60,18 +60,7 @@ def _load_ab_config(path):
     for key in ("p", "N", "pair", "nonlinearity"):
         if key not in cfg:
             raise ConfigError(f"missing transform config key {key!r}")
-    pair_cfg = cfg["pair"]
-    if not isinstance(pair_cfg, dict) or set(pair_cfg) - {"family", "params"}:
-        raise ConfigError("pair must be an object with family/params")
-    family = pair_cfg.get("family")
-    if family not in _PAIR_BUILDERS:
-        raise ConfigError(
-            f"unknown pair family {family!r}; known: {sorted(_PAIR_BUILDERS)}")
-    builder, names = _PAIR_BUILDERS[family]
-    params = pair_cfg.get("params", {})
-    if set(params) != set(names):
-        raise ConfigError(f"pair params for {family} must be exactly {names}")
-    pair = builder(*[params[name] for name in names])
+    pair = mdl._build_from_family(_PAIR_BUILDERS, "pair", cfg["pair"])
     nl = mdl._build_from_family(mdl._NL_BUILDERS, "nonlinearity",
                                 cfg["nonlinearity"])
     grid_cfg = cfg.get("grid", {})

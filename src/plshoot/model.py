@@ -409,7 +409,7 @@ def eval_model(model, r, u):
     }
 
 
-def _strictly_decreasing_violation(xs, values, tol=STRICT_TOL):
+def _strictly_decreasing_violation(values, tol=STRICT_TOL):
     """First index where consecutive decrease fails (plateau-tolerant)."""
     for i in range(len(values) - 1):
         allowed = tol * (1.0 + abs(values[i]))
@@ -449,7 +449,7 @@ def check_K1(weight, params, grid):
             )
         else:
             checks.append(CheckResult("K1_positive", True))
-        j = _strictly_decreasing_violation(grid, gvals)
+        j = _strictly_decreasing_violation(gvals)
         if j is None:
             checks.append(CheckResult("K1_decreasing", True))
         else:
@@ -530,7 +530,7 @@ def check_f_hypotheses(nl, params, grid):
     # (f4): u f'(u)/f(u) decreasing above u0 (the quotient is singular
     # at u0 itself, where f vanishes, so u0 is excluded)
     quot = np.array([u * nl.fprime(u) / nl.f(u) for u in above])
-    j = _strictly_decreasing_violation(above, quot, tol=1e-10)
+    j = _strictly_decreasing_violation(quot, tol=1e-10)
     if j is None:
         checks.append(CheckResult("f4_quotient_decreasing", True))
     else:

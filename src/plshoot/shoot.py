@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, StepFailure
-from .quadrature import adaptive_quad, piecewise_gauss, sign_power
+from .quadrature import adaptive_quad, cumulative_quad, piecewise_gauss, sign_power
 
 U_HIT_ZERO = "u_hit_zero"
 DU_HIT_ZERO = "du_hit_zero"
@@ -154,12 +154,7 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     def kernel(s):
         return s ** (n - 1.0) * w.K(s)
 
-    # cumulative J(s_j) = int_0^{s_j} s^{n-1} K; the head piece may hold
-    # an integrable singularity, which QAGS absorbs
-    J = np.empty(grid_points)
-    J[0] = adaptive_quad(kernel, 0.0, s_grid[0])
-    for j in range(1, grid_points):
-        J[j] = J[j - 1] + adaptive_quad(kernel, s_grid[j - 1], s_grid[j])
+    J = cumulative_quad(kernel, s_grid, head_from_zero=True)
     if not np.all(J > 0.0):
         raise StepFailure("weight mass vanished on the startup interval")
 
@@ -180,10 +175,7 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     def speed_frozen(s):
         return (f_alpha * J_tilde(s) / s ** (n - 1.0)) ** e
 
-    U = np.empty(grid_points)
-    U[0] = adaptive_quad(speed_frozen, 0.0, s_grid[0])
-    for j in range(1, grid_points):
-        U[j] = U[j - 1] + adaptive_quad(speed_frozen, s_grid[j - 1], s_grid[j])
+    U = cumulative_quad(speed_frozen, s_grid, head_from_zero=True)
     u_frozen = alpha - U
 
     if refine:
@@ -198,10 +190,7 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
         def kernel_ref(s):
             return s ** (n - 1.0) * w.K(s) * nl.f_clamped(u_approx(s))
 
-        J2 = np.empty(grid_points)
-        J2[0] = adaptive_quad(kernel_ref, 0.0, s_grid[0])
-        for j in range(1, grid_points):
-            J2[j] = J2[j - 1] + adaptive_quad(kernel_ref, s_grid[j - 1], s_grid[j])
+        J2 = cumulative_quad(kernel_ref, s_grid, head_from_zero=True)
         logJ2 = PchipInterpolator(np.log(s_grid), np.log(J2))
 
         def speed_ref(s):
@@ -213,10 +202,7 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
                 jj = math.exp(float(logJ2(ls)))
             return (jj / s ** (n - 1.0)) ** e
 
-        U2 = np.empty(grid_points)
-        U2[0] = adaptive_quad(speed_ref, 0.0, s_grid[0])
-        for j in range(1, grid_points):
-            U2[j] = U2[j - 1] + adaptive_quad(speed_ref, s_grid[j - 1], s_grid[j])
+        U2 = cumulative_quad(speed_ref, s_grid, head_from_zero=True)
         u_ref = alpha - U2
         m_ref = -J2
     else:
@@ -245,6 +231,14 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     return prof
 
 
+def _columns(sol, kind):
+    """(r, u, m) node columns of one phase: r is the independent variable
+    of an r-phase and the third state component of a t-phase."""
+    if kind == "r":
+        return sol.t, sol.y[0], sol.y[1]
+    return sol.y[2], sol.y[0], sol.y[1]
+
+
 class _Segment:
     """One dense-output phase, parametrized by r or by t (with r carried
     as an extra state component in the t case)."""
@@ -254,10 +248,8 @@ class _Segment:
         self.kind = kind
         self.n = n
         self.p = p
-        if kind == "r":
-            self.r_lo, self.r_hi = sol.t[0], sol.t[-1]
-        else:
-            self.r_lo, self.r_hi = sol.y[2][0], sol.y[2][-1]
+        r = _columns(sol, kind)[0]
+        self.r_lo, self.r_hi = r[0], r[-1]
 
     def eval(self, r):
         if self.kind == "r":
@@ -327,9 +319,6 @@ class Trajectory:
 
     def du_at(self, r):
         return self.eval(r)[1]
-
-    def energy_at(self, r):
-        return energy(self.model, self, r)[0]
 
 
 def _rhs_r(model):
@@ -421,47 +410,40 @@ def integrate_ivp(model, alpha, controls=None):
     if mode == "t":
         t_cap = transformed_arclength(model, controls.r_max) * (1.0 + 1e-9)
 
-    def record(sol):
-        seg = _Segment(sol, mode, n, p)
-        segments.append(seg)
-        if mode == "r":
-            rr, uu, mm = sol.t, sol.y[0], sol.y[1]
-        else:
-            uu, mm, rr = sol.y
-        for k in range(1, len(rr)):
-            nodes_r.append(float(rr[k]))
-            nodes_u.append(float(uu[k]))
-            nodes_m.append(float(mm[k]))
-        return seg
+    # terminal events on the state (u, m) of an r-phase or (u, m, r) of a
+    # t-phase; a t-phase also stops where r reaches r_max
+    def ev_u0(x, y):
+        return y[0] - u0
 
-    def state_end(sol):
+    def ev_u(x, y):
+        return y[0]
+
+    def ev_m(x, y):
+        return y[1]
+
+    def ev_cap(x, y):
+        return y[2] - controls.r_max
+
+    for ev, direction in ((ev_u0, -1), (ev_u, -1), (ev_m, 1), (ev_cap, 0)):
+        ev.terminal, ev.direction = True, direction
+    cap = [ev_cap] if mode == "t" else []
+
+    def phase(t, r, u, m, events):
+        """Integrate from (r, u, m), at arclength t in t-mode, until an
+        event; records the segment and its nodes."""
         if mode == "r":
-            return float(sol.t[-1]), float(sol.y[0][-1]), float(sol.y[1][-1])
-        return float(sol.y[2][-1]), float(sol.y[0][-1]), float(sol.y[1][-1])
+            span, y0 = (r, controls.r_max), (u, m)
+        else:
+            span, y0 = (t, t_cap), (u, m, r)
+        sol, fail = _solve_phase(rhs, span, y0, events + cap, controls)
+        segments.append(_Segment(sol, mode, n, p))
+        rr, uu, mm = _columns(sol, mode)
+        nodes_r.extend(map(float, rr[1:]))
+        nodes_u.extend(map(float, uu[1:]))
+        nodes_m.extend(map(float, mm[1:]))
+        return sol, fail
 
     # --- phase A: down to u0 ------------------------------------------------
-    if mode == "r":
-        spanA = (startup.r1, controls.r_max)
-        y0A = (startup.u1, startup.m1)
-
-        def ev_u0(r, y):
-            return y[0] - u0
-
-        ev_cap = None
-    else:
-        spanA = (startup.t1, t_cap)
-        y0A = (startup.u1, startup.m1, startup.r1)
-
-        def ev_u0(t, y):
-            return y[0] - u0
-
-        def ev_cap(t, y):
-            return y[2] - controls.r_max
-
-        ev_cap.terminal = True
-    ev_u0.terminal = True
-    ev_u0.direction = -1
-
     below_u0_already = startup.u1 <= u0
     if below_u0_already:
         # alpha barely above u0: the u0 crossing happened inside the
@@ -480,14 +462,13 @@ def integrate_ivp(model, alpha, controls=None):
         startup.t1 = transformed_arclength(model, r0)
         nodes_r[-1], nodes_u[-1], nodes_m[-1] = r0, u0, mB
     else:
-        eventsA = [ev_u0, ev_cap] if mode == "t" else [ev_u0]
-        solA, fail = _solve_phase(rhs, spanA, y0A, eventsA, controls)
-        record(solA)
+        solA, fail = phase(startup.t1, startup.r1, startup.u1, startup.m1,
+                           [ev_u0])
         if fail:
             stop_event = STEP_FAILURE
             phaseB_start = None
         elif solA.t_events[0].size:
-            rA, uA, mA = state_end(solA)
+            rA, uA, mA = (float(c[-1]) for c in _columns(solA, mode))
             r0, du_r0 = rA, _du_from_m(mA, rA, n, p)
             phaseB_start = (rA, uA, mA)
         else:
@@ -498,40 +479,8 @@ def integrate_ivp(model, alpha, controls=None):
     # --- phase B: below u0, watch for u = 0 and u' = 0 ----------------------
     if phaseB_start is not None:
         rB, uB, mB = phaseB_start
-        if mode == "r":
-            spanB = (rB, controls.r_max)
-            y0B = (uB, mB)
-
-            def ev_u(r, y):
-                return y[0]
-
-            def ev_m(r, y):
-                return y[1]
-
-            evsB = [ev_u, ev_m]
-        else:
-            tB = transformed_arclength(model, rB)
-            spanB = (tB, t_cap)
-            y0B = (uB, mB, rB)
-
-            def ev_u(t, y):
-                return y[0]
-
-            def ev_m(t, y):
-                return y[1]
-
-            def ev_r(t, y):
-                return y[2] - controls.r_max
-
-            ev_r.terminal = True
-            evsB = [ev_u, ev_m, ev_r]
-        ev_u.terminal = True
-        ev_u.direction = -1
-        ev_m.terminal = True
-        ev_m.direction = 1
-
-        solB, fail = _solve_phase(rhs, spanB, y0B, evsB, controls)
-        record(solB)
+        tB = transformed_arclength(model, rB) if mode == "t" else None
+        solB, fail = phase(tB, rB, uB, mB, [ev_u, ev_m])
         if fail:
             stop_event = STEP_FAILURE
         elif solB.t_events[0].size:
@@ -640,7 +589,7 @@ def invert_profile(traj):
     return traj._inverse
 
 
-def trajectory_integral(traj, integrand, a, b, order=12):
+def trajectory_integral(traj, integrand, a, b):
     """Integral over [a, b] of integrand(r, u, u', m) along the dense
     trajectory, split at the solver nodes (each piece is smooth)."""
 
@@ -648,7 +597,7 @@ def trajectory_integral(traj, integrand, a, b, order=12):
         u, du, m = traj.eval(r)
         return integrand(r, u, du, m)
 
-    return piecewise_gauss(f, traj.r, a, b, order=order)
+    return piecewise_gauss(f, traj.r, a, b)
 
 
 def flux_residual(model, traj, r):

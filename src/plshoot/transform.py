@@ -24,14 +24,14 @@
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .model import Parameters, ProblemModel, closure_weight
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, cumulative_quad
 
 
 class GeneralWeightPair:
@@ -128,7 +128,6 @@ class TransformedModel:
     forward_map: object  # r -> t
     inverse_map: object  # t -> r
     dt_dr: object
-    _tab: dict = field(default_factory=dict, repr=False)
 
     def identity_g(self, r):
         """p + t Ktilde_t/Ktilde computed from the two-weight side of
@@ -292,7 +291,6 @@ class QtChange:
     r_range: tuple
     t_of_r: object
     r_of_t: object
-    _exact_t: object = field(repr=False, default=None)
 
     def q(self, t):
         model = self.model
@@ -311,16 +309,12 @@ class QtChange:
 
 def qt_change(model, r_lo=1e-8, r_hi=1e6, points=500):
     """Build the arclength maps on [r_lo, r_hi] (log-dense sampling,
-    monotone interpolation, exact-quadrature polish available through
-    _exact_t).  Assumes the weight hypothesis holds, which makes K^{1/p}
-    integrable at 0 and non-integrable at infinity."""
+    monotone interpolation).  Assumes the weight hypothesis holds, which
+    makes K^{1/p} integrable at 0 and non-integrable at infinity."""
     p = model.p
     kern = lambda s: model.weight.K(s) ** (1.0 / p)
     rs = np.geomspace(r_lo, r_hi, points)
-    tvals = np.empty_like(rs)
-    tvals[0] = adaptive_quad(kern, 0.0, rs[0])
-    for i in range(1, len(rs)):
-        tvals[i] = tvals[i - 1] + adaptive_quad(kern, rs[i - 1], rs[i])
+    tvals = cumulative_quad(kern, rs, head_from_zero=True)
     if not np.all(tvals > 0) or not np.all(np.diff(tvals) > 0):
         raise DomainError("arclength failed to be strictly increasing; "
                           "the weight is outside scope")
@@ -353,10 +347,7 @@ def qt_change(model, r_lo=1e-8, r_hi=1e6, points=500):
             r = min(max(r + step, rs[0]), rs[-1])
         return r
 
-    def exact_t(r):
-        return adaptive_quad(kern, 0.0, r)
-
-    return QtChange(model, (r_lo, r_hi), t_of_r, r_of_t, _exact_t=exact_t)
+    return QtChange(model, (r_lo, r_hi), t_of_r, r_of_t)
 
 
 @dataclass

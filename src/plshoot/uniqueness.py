@@ -15,6 +15,7 @@ import numpy as np
 
 from .classify import CROSSING, POSITIVE, classify
 from .errors import DomainError
+from .model import _strictly_decreasing_violation
 from .shoot import IntegratorControls, capital_I, invert_profile
 from .variational import eval_G, kwong_ratio
 
@@ -23,10 +24,23 @@ _T_STRICT = 1e-10
 
 @dataclass
 class BracketResult:
-    alpha_lo: float  # certified Positive
-    alpha_hi: float  # certified Crossing
+    """A certified Positive/Crossing bracket.  shot_lo and shot_hi are the
+    ShotOutcomes (trajectories attached) that certified the endpoints;
+    their trajectories carry the controls used, which may be tighter
+    than the caller's."""
+
+    shot_lo: object  # certified Positive
+    shot_hi: object  # certified Crossing
     iterations: int
     best_candidate: object  # ShotOutcome at the bracket midpoint
+
+    @property
+    def alpha_lo(self):
+        return self.shot_lo.alpha
+
+    @property
+    def alpha_hi(self):
+        return self.shot_hi.alpha
 
     @property
     def width(self):
@@ -56,43 +70,42 @@ def find_ground_state(model, alpha_lo, alpha_hi, tol_alpha, controls=None,
     10x tolerance tightening; if still undecided they are assigned to
     the Positive side of the working interval without certification, so
     the reported bracket endpoints always carry verified
-    classifications."""
+    classifications, kept with their trajectories in the result."""
     controls = controls or IntegratorControls()
     if not (model.u0 < alpha_lo < alpha_hi):
         raise DomainError("need u0 < alpha_lo < alpha_hi")
     if not tol_alpha > 0.0:
         raise DomainError("tol_alpha must be positive")
-    out_lo = classify(model, alpha_lo, controls)
-    if out_lo.kind != POSITIVE:
+    cert_lo = classify(model, alpha_lo, controls, keep_trajectory=True)
+    if cert_lo.kind != POSITIVE:
         raise DomainError(
-            f"alpha_lo={alpha_lo} classifies {out_lo.kind}, not Positive")
-    out_hi = classify(model, alpha_hi, controls)
-    if out_hi.kind != CROSSING:
+            f"alpha_lo={alpha_lo} classifies {cert_lo.kind}, not Positive")
+    cert_hi = classify(model, alpha_hi, controls, keep_trajectory=True)
+    if cert_hi.kind != CROSSING:
         raise DomainError(
-            f"alpha_hi={alpha_hi} classifies {out_hi.kind}, not Crossing")
+            f"alpha_hi={alpha_hi} classifies {cert_hi.kind}, not Crossing")
 
-    lo, hi = alpha_lo, alpha_hi           # working interval
-    cert_lo, cert_hi = alpha_lo, alpha_hi  # certified bracket
+    lo, hi = alpha_lo, alpha_hi  # working interval
     iterations = 0
     while hi - lo >= tol_alpha and iterations < max_iter:
         mid = 0.5 * (lo + hi)
-        out = classify(model, mid, controls)
+        out = classify(model, mid, controls, keep_trajectory=True)
         if out.kind not in (POSITIVE, CROSSING):
             tighter = controls.with_tolerances(
                 controls.rel_tol / 10.0, controls.abs_tol / 10.0)
-            out = classify(model, mid, tighter)
+            out = classify(model, mid, tighter, keep_trajectory=True)
         if out.kind == CROSSING:
             hi = mid
-            cert_hi = mid
+            cert_hi = out
         elif out.kind == POSITIVE:
             lo = mid
-            cert_lo = mid
+            cert_lo = out
         else:
             # conservative: keep the Crossing certificate, push lo
             lo = mid
         iterations += 1
 
-    best = classify(model, 0.5 * (cert_lo + cert_hi), controls,
+    best = classify(model, 0.5 * (cert_lo.alpha + cert_hi.alpha), controls,
                     keep_trajectory=True)
     return BracketResult(cert_lo, cert_hi, iterations, best)
 
@@ -256,6 +269,8 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
       (e) the comparison integrand I(s, .) > 0 on each crossing shot;
       (f) G(s) increasing from -(n-p) at u0 with a single sign change.
 
+    The endpoint shots are the bracket's own certificates; they are not
+    shot again.
     Failures never raise; each check carries its witnesses.
     """
     controls = controls or IntegratorControls()
@@ -263,8 +278,7 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     abar = bracket.midpoint
     step = delta_rel * abar / samples
 
-    out_lo = classify(model, bracket.alpha_lo, controls, keep_trajectory=True)
-    out_hi = classify(model, bracket.alpha_hi, controls, keep_trajectory=True)
+    out_lo, out_hi = bracket.shot_lo, bracket.shot_hi
     n_samples = [
         classify(model, bracket.alpha_hi + step * j, controls, keep_trajectory=True)
         for j in range(1, samples + 1)
@@ -364,12 +378,11 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     if abs(gvals[0] + (n - p)) > 2e-2 * (n - p):
         wit.append({"s": float(gs[0]), "G": float(gvals[0]),
                     "expected": -(n - p)})
-    for i in range(len(gs) - 1):
-        if gvals[i + 1] - gvals[i] <= -_T_STRICT * (1.0 + abs(gvals[i])):
-            wit.append({"s_lo": float(gs[i]), "s_hi": float(gs[i + 1]),
-                        "G_lo": float(gvals[i]), "G_hi": float(gvals[i + 1]),
-                        "violated": "G increasing"})
-            break
+    i = _strictly_decreasing_violation(-gvals, tol=_T_STRICT)
+    if i is not None:
+        wit.append({"s_lo": float(gs[i]), "s_hi": float(gs[i + 1]),
+                    "G_lo": float(gvals[i]), "G_hi": float(gvals[i + 1]),
+                    "violated": "G increasing"})
     signs = np.sign(gvals)
     changes = int(np.sum(signs[:-1] * signs[1:] < 0))
     if changes != 1:

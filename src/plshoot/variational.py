@@ -28,6 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, StepFailure
+from .model import _strictly_decreasing_violation
 from .quadrature import adaptive_quad, loglog_cumint
 from .shoot import integrate_ivp, invert_profile
 
@@ -235,7 +236,7 @@ def eval_G(model, traj_ref, s):
     return p * (n + t * w.dK(t) / w.K(t)) * nl.F0(s) / (s * nl.f(s)) - (n - p)
 
 
-def kwong_ratio(traj, strict_tol=1e-10):
+def kwong_ratio(traj):
     """r u'(r)/u(r) on the trajectory grid restricted to (0, r0); the
     ratio is strictly decreasing there for ground-state/crossing shots.
 
@@ -245,16 +246,16 @@ def kwong_ratio(traj, strict_tol=1e-10):
     mask = (traj.r > 0.0) & (traj.r < traj.r0)
     r = traj.r[mask]
     ratio = r * traj.du[mask] / traj.u[mask]
-    for i in range(len(ratio) - 1):
-        if ratio[i + 1] - ratio[i] >= strict_tol * (1.0 + abs(ratio[i])):
-            witness = {
-                "r_lo": float(r[i]),
-                "r_hi": float(r[i + 1]),
-                "ratio_lo": float(ratio[i]),
-                "ratio_hi": float(ratio[i + 1]),
-            }
-            return False, witness, r, ratio
-    return True, None, r, ratio
+    i = _strictly_decreasing_violation(ratio, tol=1e-10)
+    if i is None:
+        return True, None, r, ratio
+    witness = {
+        "r_lo": float(r[i]),
+        "r_hi": float(r[i + 1]),
+        "ratio_lo": float(ratio[i]),
+        "ratio_hi": float(ratio[i + 1]),
+    }
+    return False, witness, r, ratio
 
 
 def radial_combination_at_r0(model, traj):

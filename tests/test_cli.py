@@ -80,6 +80,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert err["code"] == "config_error"
 
 
+def test_transform_pair_params_not_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({**AB_CONFIG,
+                                "pair": {"family": "matukuma", "params": 5}}))
+    assert run(["transform", "--config", str(path),
+                "--out", str(tmp_path / "model.json")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "config_error"
+
+
 def test_integrate_csv_and_sidecar(config_path, tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert run(["integrate", "--config", config_path, "--alpha", "5.0",

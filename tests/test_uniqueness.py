@@ -139,3 +139,20 @@ def test_pipeline_on_other_weights(weight, controls):
     report = verify_suite(m, br, 1e-2, 2, controls, s_points=10)
     for check in report.checks:
         assert check.passed, (weight.family, check.name, check.witnesses[:2])
+
+
+def test_verify_suite_uses_tightened_bracket_certificates(canonical_model,
+                                                          controls):
+    """The sweep transition of the canonical model over
+    [1.0109568531599273, 50.383872060048304] bisects to an alpha_hi that
+    is only certified Crossing under the 10x tighter re-shot; the suite
+    must use that certificate instead of re-classifying the endpoint."""
+    br = find_ground_state(canonical_model, 4.211883530234606,
+                           4.481482789995281, 1e-8, controls)
+    assert classify(canonical_model, br.alpha_hi,
+                    controls).kind == ps.GROUND_CANDIDATE
+    assert br.shot_hi.kind == CROSSING and br.shot_lo.kind == POSITIVE
+    report = verify_suite(canonical_model, br, 1e-2, 4)
+    assert len(report.checks) == 6
+    for check in report.checks:
+        assert check.passed, (check.name, check.witnesses[:3])
