@@ -64,14 +64,19 @@ def _load_ab_config(path):
     nl = mdl._build_from_family(mdl._NL_BUILDERS, "nonlinearity",
                                 cfg["nonlinearity"])
     grid_cfg = cfg.get("grid", {})
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError("grid must be an object with lo/hi/points")
     extra = set(grid_cfg) - {"lo", "hi", "points"}
     if extra:
         raise ConfigError(f"unknown grid keys: {sorted(extra)}")
-    grid = np.geomspace(
-        grid_cfg.get("lo", 1e-4), grid_cfg.get("hi", 1e4),
-        int(grid_cfg.get("points", 80)),
+    grid = mdl.log_grid(
+        mdl.config_number("grid", grid_cfg, "lo", 1e-4),
+        mdl.config_number("grid", grid_cfg, "hi", 1e4),
+        int(mdl.config_number("grid", grid_cfg, "points", 80)),
     )
-    return float(cfg["p"]), float(cfg["N"]), pair, nl, grid
+    p = mdl.config_number("transform config", cfg, "p")
+    N = mdl.config_number("transform config", cfg, "N")
+    return p, N, pair, nl, grid
 
 
 def _trajectory_rows(model, traj):

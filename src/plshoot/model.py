@@ -14,6 +14,7 @@ positivity and monotonicity of the data survive).
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,9 @@ class WeightSpec:
 
     family/params identify the construction; kfun/dkfun are scalar
     callables valid for every r > 0.  g_unbounded_at_zero marks weights
-    whose p + r K'/K blows up at the origin (they are integrated in the
-    transformed t variable).
+    whose p + r K'/K blows up at the origin.  It describes the weight and
+    selects nothing: every weight is integrated in r, and the transformed
+    t variable only sets the startup radius.
     """
 
     def __init__(self, family, params, kfun, dkfun, g_unbounded_at_zero=False):
@@ -573,6 +575,12 @@ _NL_BUILDERS = {
 }
 
 
+def _is_number(value):
+    """A finite real number (bools are not numbers here)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _build_from_family(table, section, entry):
     if not isinstance(entry, dict):
         raise ConfigError(f"{section} must be an object with family/params")
@@ -594,7 +602,26 @@ def _build_from_family(table, section, entry):
     missing = set(names) - set(params)
     if missing:
         raise ConfigError(f"missing {section} params for {family}: {sorted(missing)}")
-    return builder(*[params[name] for name in names])
+    for name in names:
+        value = params[name]
+        if not (_is_number(value) or (isinstance(value, list)
+                                      and all(map(_is_number, value)))):
+            raise ConfigError(f"{section} param {name!r} of {family} must be a "
+                              f"finite number or a list of them, got {value!r}")
+    try:
+        return builder(*[params[name] for name in names])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} params for {family}: {exc}") from exc
+
+
+def config_number(section, cfg, key, default=None):
+    """cfg[key] as a float, or default when the key is absent; anything
+    but a finite JSON number is a ConfigError."""
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{section} key {key!r} must be a finite number, "
+                          f"got {value!r}")
+    return float(value)
 
 
 def model_from_config(cfg):
@@ -607,7 +634,8 @@ def model_from_config(cfg):
     for key in ("p", "n", "weight", "nonlinearity"):
         if key not in cfg:
             raise ConfigError(f"missing config key {key!r}")
-    params = Parameters(float(cfg["p"]), float(cfg["n"]))
+    params = Parameters(config_number("config", cfg, "p"),
+                        config_number("config", cfg, "n"))
     weight = _build_from_family(_WEIGHT_BUILDERS, "weight", cfg["weight"])
     nl = _build_from_family(_NL_BUILDERS, "nonlinearity", cfg["nonlinearity"])
     return ProblemModel(params, weight, nl)

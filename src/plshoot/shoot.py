@@ -15,9 +15,10 @@ whose state comes from the frozen integral form of the equation
 (one fixed-point refinement included); r1 is chosen so the transformed
 arclength t(r1) = int_0^{r1} K^{1/p} equals the configured startup
 radius, which keeps startup accuracy uniform across weight families.
-For weights whose p + r K'/K blows up at the origin the whole
-integration runs in the t variable, where the flux bound
-|phi_p(v_t)| <= f(alpha) t guarantees a regular start.
+Every weight is integrated in r: the t variable only sets the startup
+radius.  Weights whose p + r K'/K blows up at the origin still get a
+regular start, since the flux bound |phi_p(v_t)| <= f(alpha) t holds on
+[0, r1], and beyond r1 > 0 the equation in r is regular.
 """
 
 import math
@@ -145,7 +146,10 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     """
     n, p = model.n, model.p
     nl, w = model.nonlinearity, model.weight
-    f_alpha = nl.f(alpha)
+    try:
+        f_alpha = nl.f(alpha)
+    except OverflowError as exc:
+        raise DomainError(f"f(alpha) overflows at alpha={alpha}") from exc
     if f_alpha <= 0.0:
         raise DomainError(f"origin startup needs f(alpha) > 0, got f({alpha})={f_alpha}")
 
@@ -191,6 +195,8 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
             return s ** (n - 1.0) * w.K(s) * nl.f_clamped(u_approx(s))
 
         J2 = cumulative_quad(kernel_ref, s_grid, head_from_zero=True)
+        if not np.all(J2 > 0.0):
+            raise StepFailure("refined weight mass vanished on the startup interval")
         logJ2 = PchipInterpolator(np.log(s_grid), np.log(J2))
 
         def speed_ref(s):
@@ -231,38 +237,17 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     return prof
 
 
-def _columns(sol, kind):
-    """(r, u, m) node columns of one phase: r is the independent variable
-    of an r-phase and the third state component of a t-phase."""
-    if kind == "r":
-        return sol.t, sol.y[0], sol.y[1]
-    return sol.y[2], sol.y[0], sol.y[1]
-
-
 class _Segment:
-    """One dense-output phase, parametrized by r or by t (with r carried
-    as an extra state component in the t case)."""
+    """One dense-output phase in r."""
 
-    def __init__(self, sol, kind, n, p):
+    def __init__(self, sol, n, p):
         self.sol = sol
-        self.kind = kind
         self.n = n
         self.p = p
-        r = _columns(sol, kind)[0]
-        self.r_lo, self.r_hi = r[0], r[-1]
+        self.r_lo, self.r_hi = sol.t[0], sol.t[-1]
 
     def eval(self, r):
-        if self.kind == "r":
-            u, m = self.sol.sol(r)
-        else:
-            ta, tb = self.sol.t[0], self.sol.t[-1]
-            if r <= self.r_lo:
-                t = ta
-            elif r >= self.r_hi:
-                t = tb
-            else:
-                t = brentq(lambda tt: self.sol.sol(tt)[2] - r, ta, tb, rtol=1e-15)
-            u, m, _ = self.sol.sol(t)
+        u, m = self.sol.sol(r)
         return float(u), _du_from_m(float(m), r, self.n, self.p), float(m)
 
 
@@ -321,7 +306,7 @@ class Trajectory:
         return self.eval(r)[1]
 
 
-def _rhs_r(model):
+def _rhs(model):
     n, p = model.n, model.p
     K = model.weight.K
     f = model.nonlinearity.f_clamped
@@ -333,39 +318,6 @@ def _rhs_r(model):
         return (sign_power(m / rn, e), -rn * K(r) * f(u))
 
     return rhs
-
-
-def _rhs_t(model):
-    n, p = model.n, model.p
-    K = model.weight.K
-    f = model.nonlinearity.f_clamped
-    e = 1.0 / (p - 1.0)
-    invp = 1.0 / p
-    ppi = 1.0 / (p / (p - 1.0))  # 1/p'
-
-    def rhs(t, y):
-        v, M, r = y
-        Kr = K(r)
-        q = r ** (n - 1.0) * Kr**ppi
-        return (sign_power(M / q, e), -q * f(v), Kr ** (-invp))
-
-    return rhs
-
-
-def _solve_phase(rhs, span, y0, events, controls):
-    sol = solve_ivp(
-        rhs,
-        span,
-        y0,
-        method="DOP853",
-        dense_output=True,
-        events=events,
-        rtol=controls.rel_tol,
-        atol=controls.abs_tol,
-    )
-    if sol.status == -1:
-        return sol, STEP_FAILURE
-    return sol, None
 
 
 def integrate_ivp(model, alpha, controls=None):
@@ -380,7 +332,6 @@ def integrate_ivp(model, alpha, controls=None):
         )
 
     n, p = model.n, model.p
-    mode = "t" if model.weight.g_unbounded_at_zero else "r"
 
     # startup with a-posteriori validation; shrink r1 on failure
     t_start = controls.startup_radius
@@ -405,43 +356,32 @@ def integrate_ivp(model, alpha, controls=None):
     stop_event = REACHED_R_MAX
     r0 = du_r0 = None
 
-    rhs = _rhs_r(model) if mode == "r" else _rhs_t(model)
-    t_cap = None
-    if mode == "t":
-        t_cap = transformed_arclength(model, controls.r_max) * (1.0 + 1e-9)
+    rhs = _rhs(model)
 
-    # terminal events on the state (u, m) of an r-phase or (u, m, r) of a
-    # t-phase; a t-phase also stops where r reaches r_max
-    def ev_u0(x, y):
+    # terminal events on the state (u, m)
+    def ev_u0(r, y):
         return y[0] - u0
 
-    def ev_u(x, y):
+    def ev_u(r, y):
         return y[0]
 
-    def ev_m(x, y):
+    def ev_m(r, y):
         return y[1]
 
-    def ev_cap(x, y):
-        return y[2] - controls.r_max
-
-    for ev, direction in ((ev_u0, -1), (ev_u, -1), (ev_m, 1), (ev_cap, 0)):
+    for ev, direction in ((ev_u0, -1), (ev_u, -1), (ev_m, 1)):
         ev.terminal, ev.direction = True, direction
-    cap = [ev_cap] if mode == "t" else []
 
-    def phase(t, r, u, m, events):
-        """Integrate from (r, u, m), at arclength t in t-mode, until an
-        event; records the segment and its nodes."""
-        if mode == "r":
-            span, y0 = (r, controls.r_max), (u, m)
-        else:
-            span, y0 = (t, t_cap), (u, m, r)
-        sol, fail = _solve_phase(rhs, span, y0, events + cap, controls)
-        segments.append(_Segment(sol, mode, n, p))
-        rr, uu, mm = _columns(sol, mode)
-        nodes_r.extend(map(float, rr[1:]))
-        nodes_u.extend(map(float, uu[1:]))
-        nodes_m.extend(map(float, mm[1:]))
-        return sol, fail
+    def phase(r, u, m, events):
+        """Integrate from (r, u, m) towards r_max until an event; records
+        the segment and its nodes, and whether the integrator failed."""
+        sol = solve_ivp(rhs, (r, controls.r_max), (u, m), method="DOP853",
+                        dense_output=True, events=events,
+                        rtol=controls.rel_tol, atol=controls.abs_tol)
+        segments.append(_Segment(sol, n, p))
+        nodes_r.extend(map(float, sol.t[1:]))
+        nodes_u.extend(map(float, sol.y[0][1:]))
+        nodes_m.extend(map(float, sol.y[1][1:]))
+        return sol, sol.status == -1
 
     # --- phase A: down to u0 ------------------------------------------------
     below_u0_already = startup.u1 <= u0
@@ -462,13 +402,13 @@ def integrate_ivp(model, alpha, controls=None):
         startup.t1 = transformed_arclength(model, r0)
         nodes_r[-1], nodes_u[-1], nodes_m[-1] = r0, u0, mB
     else:
-        solA, fail = phase(startup.t1, startup.r1, startup.u1, startup.m1,
-                           [ev_u0])
+        solA, fail = phase(startup.r1, startup.u1, startup.m1, [ev_u0])
         if fail:
             stop_event = STEP_FAILURE
             phaseB_start = None
         elif solA.t_events[0].size:
-            rA, uA, mA = (float(c[-1]) for c in _columns(solA, mode))
+            rA = float(solA.t[-1])
+            uA, mA = (float(c) for c in solA.y[:, -1])
             r0, du_r0 = rA, _du_from_m(mA, rA, n, p)
             phaseB_start = (rA, uA, mA)
         else:
@@ -478,9 +418,7 @@ def integrate_ivp(model, alpha, controls=None):
 
     # --- phase B: below u0, watch for u = 0 and u' = 0 ----------------------
     if phaseB_start is not None:
-        rB, uB, mB = phaseB_start
-        tB = transformed_arclength(model, rB) if mode == "t" else None
-        solB, fail = phase(tB, rB, uB, mB, [ev_u, ev_m])
+        solB, fail = phase(*phaseB_start, [ev_u, ev_m])
         if fail:
             stop_event = STEP_FAILURE
         elif solB.t_events[0].size:
@@ -547,7 +485,7 @@ class InverseProfile:
     interior queries bracket on the dense output."""
 
     def __init__(self, traj):
-        u, r, du = traj.u, traj.r, traj.du
+        u, r = traj.u, traj.r
         if np.any(np.diff(u) > 1e-12 * (1.0 + np.abs(u[:-1]))):
             raise InternalError(
                 "trajectory is not strictly decreasing; cannot invert",
@@ -557,8 +495,6 @@ class InverseProfile:
         self.traj = traj
         self.s_grid = u[keep]
         self.t_of_s_nodes = r[keep]
-        with np.errstate(divide="ignore"):
-            self.dt_ds = np.where(du[keep] != 0.0, 1.0 / du[keep], -np.inf)
 
     def t_of_s(self, s):
         traj = self.traj
@@ -578,9 +514,6 @@ class InverseProfile:
         if a == b:
             return float(a)
         return brentq(lambda r: traj.eval(r)[0] - s, a, b, rtol=1e-15)
-
-    def du_of_s(self, s):
-        return self.traj.eval(self.t_of_s(s))[1]
 
 
 def invert_profile(traj):

@@ -138,14 +138,7 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
     if R_target <= 0.0:
         raise DomainError("R_target must be positive")
 
-    cache = {}
-
-    def crossing_R(a):
-        if a not in cache:
-            cache[a] = classify(model, a, controls, keep_trajectory=True)
-        return cache[a]
-
-    seed = crossing_R(alpha_seed)
+    seed = classify(model, alpha_seed, controls, keep_trajectory=True)
     if seed.kind != CROSSING:
         raise DomainError(
             f"alpha_seed={alpha_seed} classifies {seed.kind}, not Crossing")
@@ -164,7 +157,7 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
         a = alpha_seed
         for _ in range(80):
             a *= 2.0
-            out = crossing_R(a)
+            out = classify(model, a, controls, keep_trajectory=True)
             if out.kind != CROSSING:
                 raise DomainError(
                     f"doubling left the crossing branch at alpha={a}")
@@ -181,7 +174,7 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
         a = alpha_seed
         for _ in range(200):
             a = model.u0 + 0.5 * (a - model.u0)
-            out = crossing_R(a)
+            out = classify(model, a, controls, keep_trajectory=True)
             if out.kind != CROSSING:
                 raise DomainError(
                     f"R_target={R_target} exceeds the supremum of R on the "
@@ -197,7 +190,7 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
 
     for _ in range(max_iter):
         mid = 0.5 * (a_dn + a_up)
-        out = crossing_R(mid)
+        out = classify(model, mid, controls, keep_trajectory=True)
         if out.kind != CROSSING:
             raise DomainError(
                 f"bisection midpoint alpha={mid} left the crossing branch "

@@ -84,7 +84,3 @@ def p_family_cases():
 def constant_weight():
     """K identically 1 through the closure interface."""
     return ps.closure_weight(lambda r: 1.0, lambda r: 0.0, name="unit")
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "acceptance: acceptance-gate criteria")

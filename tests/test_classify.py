@@ -14,7 +14,7 @@ from plshoot.classify import (
     sweep,
     transition_bracket,
 )
-from plshoot.errors import DomainError
+from plshoot.errors import DomainError, StepFailure
 
 
 def test_alpha_at_or_below_u0_rejected(canonical_model, controls):
@@ -141,6 +141,19 @@ def test_sweep_records_failures_instead_of_aborting(controls):
     outs = sweep(m, 1.5, 6.0, 4, controls)
     assert len(outs) == 4
     assert any(o.kind == INCONCLUSIVE for o in outs)
+
+
+def test_extreme_heights_end_in_typed_errors(canonical_model, controls):
+    # J2 underflows to 0 at 1e100; f(alpha) overflows at 1e200
+    with pytest.raises(StepFailure):
+        classify(canonical_model, 1e100, controls)
+    with pytest.raises(DomainError):
+        classify(canonical_model, 1e200, controls)
+    outs = sweep(canonical_model, 1.01, 1e200, 4, controls)
+    assert len(outs) == 4
+    assert outs[0].kind == POSITIVE
+    assert all(o.kind == INCONCLUSIVE and o.stop_event.startswith("error: ")
+               for o in outs[1:])
 
 
 def test_sweep_precondition(canonical_model, controls):

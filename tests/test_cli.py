@@ -90,6 +90,41 @@ def test_transform_pair_params_not_object_exit_2(tmp_path, capsys):
     assert err["code"] == "config_error"
 
 
+def _with(cfg, path, value):
+    """A deep copy of cfg with the entry at the key path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("transform", _with(AB_CONFIG, ["grid"], 5)),
+        ("transform", _with(AB_CONFIG, ["grid"], {"points": "many"})),
+        ("transform", _with(AB_CONFIG, ["pair", "params", "sigma"], "two")),
+        ("transform", _with(AB_CONFIG, ["p"], "two")),
+        ("classify", _with(CANONICAL, ["p"], "two")),
+        ("classify", _with(CANONICAL, ["weight", "params", "sigma"], "two")),
+        ("classify", _with(CANONICAL, ["nonlinearity", "params", "q1"], None)),
+        # log_gaussian checks nothing when built; theta would fail on use
+        ("classify", _with(CANONICAL, ["weight"],
+                           {"family": "log_gaussian", "params": {"theta": "x"}})),
+    ],
+)
+def test_malformed_values_are_config_errors(command, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = (["--out", str(tmp_path / "out.json")] if command == "transform"
+             else ["--alpha", "5.0"])
+    assert run([command, "--config", str(path), *extra]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "config_error"
+
+
 def test_integrate_csv_and_sidecar(config_path, tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert run(["integrate", "--config", config_path, "--alpha", "5.0",

@@ -147,12 +147,11 @@ def test_flux_residual_other_exponents(p_family_cases, controls):
             assert abs(res) / (1.0 + abs(traj.m[i])) < 100.0 * controls.rel_tol
 
 
-def test_log_gaussian_runs_in_t_mode(controls):
+def test_log_gaussian_shot_flux_residual(controls):
     m = make_model(2.0, 3.0, ps.log_gaussian_weight(0.0), 3.0, 0.5)
     assert m.weight.g_unbounded_at_zero
     traj = ps.integrate_ivp(m, 5.0, controls)
     assert traj.stop_event == U_HIT_ZERO
-    assert traj.segments[0].kind == "t"
     i = len(traj.r) // 2
     res = ps.flux_residual(m, traj, float(traj.r[i]))
     assert abs(res) / (1.0 + abs(traj.m[i])) < 100.0 * controls.rel_tol
