@@ -5,6 +5,7 @@ fixed-order rules on top of known smooth pieces; the heavier lifting
 (endpoint singularities, tails) is always delegated to QAGS.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -72,6 +73,23 @@ def piecewise_gauss(f, breakpoints, a, b, order=12):
         x = mid + half * nodes
         total += half * float(np.dot(weights, [f(xi) for xi in x]))
     return total
+
+
+class LogLogTable:
+    """A positive, power-law-like sampled function y(x) (xs increasing):
+    a monotone PCHIP of log y against log x, continued below xs[0] as the
+    power law with the secant slope of the first two samples."""
+
+    def __init__(self, xs, ys):
+        self._pchip = PchipInterpolator(np.log(xs), np.log(ys))
+        self._lx0, self._ly0 = math.log(xs[0]), math.log(ys[0])
+        self._slope = (math.log(ys[1]) - self._ly0) / (math.log(xs[1]) - self._lx0)
+
+    def __call__(self, x):
+        lx = math.log(x)
+        if lx < self._lx0:
+            return math.exp(self._ly0 + self._slope * (lx - self._lx0))
+        return math.exp(float(self._pchip(lx)))
 
 
 def loglog_cumint(xs, ys):

@@ -1,6 +1,7 @@
 """Deterministic file emission: fixed column orders, 17 significant
 digits for every float, byte-identical output for identical inputs."""
 
+import contextlib
 import json
 import math
 import sys
@@ -38,18 +39,10 @@ def json_dumps(obj, indent=None):
     return json.dumps(_round_floats(obj), indent=indent, allow_nan=True)
 
 
-class _StdoutSink:
-    def __enter__(self):
-        return sys.stdout
-
-    def __exit__(self, *exc):
-        return False
-
-
 def open_out(path):
     """'-' writes to stdout (left open); anything else is a real file."""
     if path == "-":
-        return _StdoutSink()
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="")
 
 

@@ -30,7 +30,13 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, StepFailure
-from .quadrature import adaptive_quad, cumulative_quad, piecewise_gauss, sign_power
+from .quadrature import (
+    LogLogTable,
+    adaptive_quad,
+    cumulative_quad,
+    piecewise_gauss,
+    sign_power,
+)
 
 U_HIT_ZERO = "u_hit_zero"
 DU_HIT_ZERO = "du_hit_zero"
@@ -107,24 +113,15 @@ class StartupProfile:
     u_grid: np.ndarray
     m_grid: np.ndarray
     alpha: float
-    _dev: PchipInterpolator = field(repr=False, default=None)  # log(alpha-u) vs log r
-    _lgm: PchipInterpolator = field(repr=False, default=None)  # log|m| vs log r
+    dev: LogLogTable = field(repr=False)   # alpha - u
+    flux: LogLogTable = field(repr=False)  # |m|
 
     def eval(self, model, r):
         if r <= 0.0:
             return self.alpha, 0.0, 0.0
         r = min(r, self.r1)
-        lr = math.log(r)
-        lo = math.log(self.r_grid[1])
-        if lr < lo:  # power-law continuation below the grid head
-            dev = math.exp(float(self._dev(lo)) + self._dev_slope * (lr - lo))
-            m = -math.exp(float(self._lgm(lo)) + self._lgm_slope * (lr - lo))
-        else:
-            dev = math.exp(float(self._dev(lr)))
-            m = -math.exp(float(self._lgm(lr)))
-        u = self.alpha - dev
-        du = _du_from_m(m, r, model.n, model.p)
-        return u, du, m
+        m = -self.flux(r)
+        return self.alpha - self.dev(r), _du_from_m(m, r, model.n, model.p), m
 
 
 def _du_from_m(m, r, n, p):
@@ -133,7 +130,10 @@ def _du_from_m(m, r, n, p):
     return sign_power(m / r ** (n - 1.0), 1.0 / (p - 1.0))
 
 
-def origin_startup(model, alpha, r1, grid_points=25, refine=True):
+_STARTUP_POINTS = 25  # log-spaced over [r1 * 1e-6, r1]
+
+
+def origin_startup(model, alpha, r1, refine=True):
     """State (u, m) at r1 from the frozen integral form of the equation:
 
         m(r) = -int_0^r s^{n-1} K(s) f(alpha) ds,
@@ -153,88 +153,46 @@ def origin_startup(model, alpha, r1, grid_points=25, refine=True):
     if f_alpha <= 0.0:
         raise DomainError(f"origin startup needs f(alpha) > 0, got f({alpha})={f_alpha}")
 
-    s_grid = np.geomspace(r1 * 1e-6, r1, grid_points)
-
-    def kernel(s):
-        return s ** (n - 1.0) * w.K(s)
-
-    J = cumulative_quad(kernel, s_grid, head_from_zero=True)
-    if not np.all(J > 0.0):
-        raise StepFailure("weight mass vanished on the startup interval")
-
-    logJ = PchipInterpolator(np.log(s_grid), np.log(J))
-    headslope = (math.log(J[1]) - math.log(J[0])) / (
-        math.log(s_grid[1]) - math.log(s_grid[0])
-    )
-
-    def J_tilde(s):
-        ls = math.log(s)
-        lo = math.log(s_grid[0])
-        if ls < lo:
-            return math.exp(math.log(J[0]) + headslope * (ls - lo))
-        return math.exp(float(logJ(ls)))
-
+    s_grid = np.geomspace(r1 * 1e-6, r1, _STARTUP_POINTS)
     e = 1.0 / (p - 1.0)
 
-    def speed_frozen(s):
-        return (f_alpha * J_tilde(s) / s ** (n - 1.0)) ** e
+    def integral_form(f_of_s):
+        """J = int_0^s sigma^{n-1} K f, its table and U = int_0^s (J/sigma^{n-1})^e
+        on the grid, for the source f(u(s)) given as a function of s."""
+        J = cumulative_quad(lambda s: s ** (n - 1.0) * w.K(s) * f_of_s(s),
+                            s_grid, head_from_zero=True)
+        if not np.all(J > 0.0):
+            raise StepFailure("weight mass vanished on the startup interval")
+        flux = LogLogTable(s_grid, J)
+        U = cumulative_quad(lambda s: (flux(s) / s ** (n - 1.0)) ** e,
+                            s_grid, head_from_zero=True)
+        return J, flux, U
 
-    U = cumulative_quad(speed_frozen, s_grid, head_from_zero=True)
-    u_frozen = alpha - U
-
+    J, flux, U = integral_form(lambda s: f_alpha)
     if refine:
         # one refinement: f evaluated on the frozen profile
-        u_interp = PchipInterpolator(np.log(s_grid), u_frozen)
-        lo_ls = math.log(s_grid[0])
+        u_frozen = PchipInterpolator(np.log(s_grid), alpha - U)
+        lo = math.log(s_grid[0])
 
-        def u_approx(s):
+        def f_frozen(s):
             ls = math.log(s)
-            return alpha - U[0] if ls < lo_ls else float(u_interp(ls))
+            return nl.f_clamped(alpha - U[0] if ls < lo else float(u_frozen(ls)))
 
-        def kernel_ref(s):
-            return s ** (n - 1.0) * w.K(s) * nl.f_clamped(u_approx(s))
+        J, flux, U = integral_form(f_frozen)
 
-        J2 = cumulative_quad(kernel_ref, s_grid, head_from_zero=True)
-        if not np.all(J2 > 0.0):
-            raise StepFailure("refined weight mass vanished on the startup interval")
-        logJ2 = PchipInterpolator(np.log(s_grid), np.log(J2))
-
-        def speed_ref(s):
-            ls = math.log(s)
-            lo = math.log(s_grid[0])
-            if ls < lo:
-                jj = math.exp(math.log(J2[0]) + headslope * (ls - lo))
-            else:
-                jj = math.exp(float(logJ2(ls)))
-            return (jj / s ** (n - 1.0)) ** e
-
-        U2 = cumulative_quad(speed_ref, s_grid, head_from_zero=True)
-        u_ref = alpha - U2
-        m_ref = -J2
-    else:
-        J2, U2 = J * f_alpha, U
-        u_ref = u_frozen
-        m_ref = -J2
-
-    r_full = np.concatenate(([0.0], s_grid))
-    u_full = np.concatenate(([alpha], u_ref))
-    m_full = np.concatenate(([0.0], m_ref))
-    prof = StartupProfile(
+    u = alpha - U
+    return StartupProfile(
         r1=r1,
-        u1=float(u_ref[-1]),
-        m1=float(m_ref[-1]),
+        u1=float(u[-1]),
+        m1=float(-J[-1]),
         t1=transformed_arclength(model, r1),
-        r_grid=r_full,
-        u_grid=u_full,
-        m_grid=m_full,
+        r_grid=np.concatenate(([0.0], s_grid)),
+        u_grid=np.concatenate(([alpha], u)),
+        m_grid=np.concatenate(([0.0], -J)),
         alpha=alpha,
+        dev=LogLogTable(s_grid, U),
+        flux=flux,
     )
-    ls = np.log(s_grid)
-    prof._dev = PchipInterpolator(ls, np.log(U2))
-    prof._lgm = PchipInterpolator(ls, np.log(J2))
-    prof._dev_slope = (math.log(U2[1]) - math.log(U2[0])) / (ls[1] - ls[0])
-    prof._lgm_slope = headslope
-    return prof
 
 
 class _Segment:

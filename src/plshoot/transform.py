@@ -27,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .model import Parameters, ProblemModel, closure_weight
-from .quadrature import adaptive_quad, cumulative_quad
+from .quadrature import LogLogTable, adaptive_quad, cumulative_quad
 
 
 class GeneralWeightPair:
@@ -175,12 +174,12 @@ def _build_h(pair, p, grid):
     fun = lambda s: pair.a(s) ** e
     for i in range(len(rs) - 2, -1, -1):
         hs[i] = hs[i + 1] + adaptive_quad(fun, rs[i], rs[i + 1])
-    logh = PchipInterpolator(np.log(rs), np.log(hs))
+    table = LogLogTable(rs, hs)
 
     def h(r):
         if r < rs[0] or r > rs[-1]:
             raise DomainError(f"h queried outside working range: r={r}")
-        return math.exp(float(logh(math.log(r))))
+        return table(r)
 
     return h, rs, hs
 
@@ -205,11 +204,8 @@ def transform_ab_to_K(pair, p, N, grid, nonlinearity):
 
     h, rs, hs = _build_h(pair, p, grid)
     ts = hs ** (-beta)
-    log_fwd = PchipInterpolator(np.log(rs), np.log(ts))
-    log_inv = PchipInterpolator(np.log(ts), np.log(rs))
-
-    def forward(r):
-        return math.exp(float(log_fwd(math.log(r))))
+    forward = LogLogTable(rs, ts)
+    r_table = LogLogTable(ts, rs)
 
     def dt_dr(r):
         return beta * h(r) ** (-beta - 1.0) * pair.a(r) ** (1.0 - pp)
@@ -217,7 +213,7 @@ def transform_ab_to_K(pair, p, N, grid, nonlinearity):
     def inverse(t):
         if t < ts[0] or t > ts[-1]:
             raise DomainError(f"inverse map queried outside range: t={t}")
-        r = math.exp(float(log_inv(math.log(t))))
+        r = r_table(t)
         # one safeguarded Newton polish against the forward map
         resid = forward(r) - t
         step = -resid / dt_dr(r)
@@ -318,7 +314,7 @@ def qt_change(model, r_lo=1e-8, r_hi=1e6, points=500):
     if not np.all(tvals > 0) or not np.all(np.diff(tvals) > 0):
         raise DomainError("arclength failed to be strictly increasing; "
                           "the weight is outside scope")
-    li = PchipInterpolator(np.log(tvals), np.log(rs))
+    r_table = LogLogTable(tvals, rs)
 
     def t_of_r(r):
         """Quadrature-exact: cumulative value at the nearest grid node
@@ -335,7 +331,7 @@ def qt_change(model, r_lo=1e-8, r_hi=1e6, points=500):
     def r_of_t(t):
         if t < tvals[0] or t > tvals[-1]:
             raise DomainError(f"r(t) queried outside working range: t={t}")
-        r = math.exp(float(li(math.log(t))))
+        r = r_table(t)
         # safeguarded Newton polish on the exact arclength
         for _ in range(6):
             resid = t_of_r(r) - t

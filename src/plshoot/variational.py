@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, StepFailure
 from .model import _strictly_decreasing_violation
-from .quadrature import adaptive_quad, loglog_cumint
+from .quadrature import LogLogTable, adaptive_quad, loglog_cumint
 from .shoot import integrate_ivp, invert_profile
 
 _FP_MAX_ITER = 30
@@ -47,7 +47,7 @@ class VariationalState:
     theta: np.ndarray
     r0: float
     _startup_phi: object = field(default=None, repr=False)
-    _startup_logP: object = field(default=None, repr=False)
+    _startup_absP: object = field(default=None, repr=False)
     _ode_sol: object = field(default=None, repr=False)
     _r1: float = 0.0
 
@@ -60,9 +60,8 @@ class VariationalState:
         if r == 0.0:
             return 1.0, 0.0, 0.0, 0.0
         if r <= self._r1:
-            lr = math.log(r)
-            phi = float(self._startup_phi(lr))
-            P = -math.exp(float(self._startup_logP(lr)))
+            phi = float(self._startup_phi(math.log(r)))
+            P = -self._startup_absP(r)
         else:
             phi, P = (float(v) for v in self._ode_sol.sol(min(r, self.r0)))
         u, du, _ = self.traj.eval(min(r, self.r0))
@@ -71,13 +70,6 @@ class VariationalState:
         K = model.weight.K(r)
         theta = P / (rn * K ** ((p - 1.0) / p))
         return phi, dphi, P, theta
-
-    def phi_at(self, r):
-        return self.eval(r)[0]
-
-    def flux_derivative_at(self, r):
-        """P(r) = d(r^{n-1} phi_p(u'))/dalpha."""
-        return self.eval(r)[2]
 
 
 def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
@@ -121,11 +113,6 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
             break
     else:
         raise StepFailure("variational startup fixed point did not converge")
-    P_s = -absP
-
-    ls = np.log(s)
-    startup_phi = PchipInterpolator(ls, phi_s)
-    startup_logP = PchipInterpolator(ls, np.log(absP))
 
     # --- regular region: linear ODE in r ------------------------------------
     def rhs(r, y):
@@ -140,7 +127,7 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
     sol = solve_ivp(
         rhs,
         (startup.r1, r0),
-        (float(phi_s[-1]), float(P_s[-1])),
+        (float(phi_s[-1]), -float(absP[-1])),
         method="DOP853",
         dense_output=True,
         rtol=rel_tol,
@@ -159,8 +146,8 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
         dphi=np.empty_like(r_nodes),
         theta=np.empty_like(r_nodes),
         r0=r0,
-        _startup_phi=startup_phi,
-        _startup_logP=startup_logP,
+        _startup_phi=PchipInterpolator(np.log(s), phi_s),
+        _startup_absP=LogLogTable(s, absP),
         _ode_sol=sol,
         _r1=startup.r1,
     )

@@ -202,6 +202,19 @@ def test_variational_with_fd_check(config_path, tmp_path, capsys):
     assert rep["max_rel_error"] < 1e-4
 
 
+def test_fd_check_is_relative_to_the_largest_sensitivity(tmp_path, capsys):
+    # phi passes through zero on this shot; the figure must not be set
+    # by the samples near that zero
+    cfg = dict(CANONICAL, weight={"family": "log_gaussian",
+                                  "params": {"theta": 0.0}})
+    path = tmp_path / "log_gaussian.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["variational", "--config", str(path), "--alpha", "5.0",
+                "--out", str(tmp_path / "var.csv"), "--fd-check", "1e-4"]) == 0
+    rep = json.loads(capsys.readouterr().out.strip())
+    assert rep["max_rel_error"] < 2e-6
+
+
 def test_verify_exit_codes(config_path, tmp_path, capsys):
     report = tmp_path / "report.json"
     code = run(["verify", "--config", config_path, "--suite", "all",

@@ -1,10 +1,13 @@
 """Integrator, startup, trajectory functionals."""
 
+import math
+
 import numpy as np
 import pytest
 
 import plshoot as ps
 from plshoot.errors import DomainError
+from plshoot.quadrature import LogLogTable
 from plshoot.shoot import (
     DU_HIT_ZERO,
     REACHED_R_MAX,
@@ -90,6 +93,33 @@ def test_startup_flux_bound_in_t_units(weight):
     assert prof.m1 < 0.0
     q1 = r1**2 * m.weight.K(r1) ** 0.5
     assert abs(prof.m1) / q1 <= m.nonlinearity.f(a) * prof.t1 * (1.0 + 1e-9)
+
+
+def test_loglog_table_reproduces_a_power_law():
+    xs = np.geomspace(1e-3, 1.0, 25)
+    table = LogLogTable(xs, 3.0 * xs**2.5)
+    inside = np.geomspace(1e-3, 1.0, 97)
+    below = np.geomspace(1e-6, 1e-3, 13)  # three decades below the samples
+    for x in np.concatenate((inside, below)):
+        assert table(x) == pytest.approx(3.0 * x**2.5, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "weight", [ps.matukuma_weight(2.0), ps.log_gaussian_weight(0.0)],
+    ids=["canonical", "log_gaussian"],
+)
+def test_startup_profile_continuous_across_table_head(weight):
+    # the profile switches from the tables to their power-law
+    # continuation at r1 * 1e-6, the first startup grid point
+    m = make_model(2.0, 3.0, weight, 3.0, 0.5)
+    prof = origin_startup(m, 5.0, radius_for_arclength(m, 1e-4))
+    head = prof.r_grid[1]
+    lo, hi = head * (1.0 - 1e-14), head * (1.0 + 1e-14)
+    assert math.log(lo) < math.log(head)
+    below, above = prof.eval(m, lo), prof.eval(m, hi)
+    for b, a in zip(below, above):
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+    assert prof.alpha - below[0] == pytest.approx(prof.alpha - above[0], rel=1e-12)
 
 
 def test_radius_for_arclength_consistency(canonical_model):

@@ -125,8 +125,7 @@ def test_verify_suite_report_schema(canonical_model, canonical_bracket, controls
 )
 def test_pipeline_on_other_weights(weight, controls):
     """Sweep -> bracket -> separation suite on non-canonical weights
-    (the last one runs the whole stack through the transformed-variable
-    integration path)."""
+    (the last one has p + r K'/K unbounded at the origin)."""
     from plshoot.classify import sweep, transition_bracket
 
     m = ps.ProblemModel(ps.Parameters(2.0, 3.0), weight,
