@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError
-from .quadrature import adaptive_quad
+from .quadrature import FloatPPoly, adaptive_quad
 
 # Plateaus caused by rounding (or by design, e.g. matched power-law
 # tails) must not fail an analytic strict-monotonicity check.
@@ -196,25 +196,26 @@ def tabulated_weight(r_values, k_values):
 
     lr = np.log(r_values)
     lk = np.log(k_values)
-    interp = PchipInterpolator(lr, lk)
-    dinterp = interp.derivative()
-    lo, hi = lr[0], lr[-1]
-    slope_lo = float(dinterp(lo))
-    slope_hi = float(dinterp(hi))
+    pchip = PchipInterpolator(lr, lk)
+    interp = FloatPPoly(pchip)
+    dinterp = FloatPPoly(pchip.derivative())
+    lo, hi = float(lr[0]), float(lr[-1])
+    slope_lo = dinterp(lo)
+    slope_hi = dinterp(hi)
 
     def logk(x):
         if x < lo:
             return lk[0] + slope_lo * (x - lo)
         if x > hi:
             return lk[-1] + slope_hi * (x - hi)
-        return float(interp(x))
+        return interp(x)
 
     def dlogk(x):
         if x < lo:
             return slope_lo
         if x > hi:
             return slope_hi
-        return float(dinterp(x))
+        return dinterp(x)
 
     def k(r):
         return math.exp(logk(math.log(r)))

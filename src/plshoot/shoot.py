@@ -31,6 +31,8 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, StepFailure
 from .quadrature import (
+    FloatDenseOutput,
+    FloatPPoly,
     LogLogTable,
     adaptive_quad,
     cumulative_quad,
@@ -171,12 +173,12 @@ def origin_startup(model, alpha, r1, refine=True):
     J, flux, U = integral_form(lambda s: f_alpha)
     if refine:
         # one refinement: f evaluated on the frozen profile
-        u_frozen = PchipInterpolator(np.log(s_grid), alpha - U)
+        u_frozen = FloatPPoly(PchipInterpolator(np.log(s_grid), alpha - U))
         lo = math.log(s_grid[0])
 
         def f_frozen(s):
             ls = math.log(s)
-            return nl.f_clamped(alpha - U[0] if ls < lo else float(u_frozen(ls)))
+            return nl.f_clamped(alpha - U[0] if ls < lo else u_frozen(ls))
 
         J, flux, U = integral_form(f_frozen)
 
@@ -199,14 +201,14 @@ class _Segment:
     """One dense-output phase in r."""
 
     def __init__(self, sol, n, p):
-        self.sol = sol
+        self.dense = FloatDenseOutput(sol.sol)
         self.n = n
         self.p = p
-        self.r_lo, self.r_hi = sol.t[0], sol.t[-1]
+        self.r_hi = float(sol.t[-1])
 
     def eval(self, r):
-        u, m = self.sol.sol(r)
-        return float(u), _du_from_m(float(m), r, self.n, self.p), float(m)
+        u, m = self.dense(r)
+        return u, _du_from_m(m, r, self.n, self.p), m
 
 
 @dataclass
@@ -248,7 +250,7 @@ class Trajectory:
 
     def eval(self, r):
         """Dense (u, u', m) at radius r in [0, R]."""
-        if r < 0.0 or r > self.R * (1.0 + 1e-12):
+        if not (0.0 <= r <= self.R * (1.0 + 1e-12)):
             raise DomainError(f"r={r} outside trajectory range [0, {self.R}]")
         if r <= self.startup.r1:
             return self.startup.eval(self.model, r)
@@ -452,15 +454,18 @@ class InverseProfile:
         keep = np.concatenate(([True], np.diff(u) < 0.0))  # drop plateaus
         self.traj = traj
         self.s_grid = u[keep]
+        self._neg_s_grid = -self.s_grid  # increasing, for the search
         self.t_of_s_nodes = r[keep]
 
     def t_of_s(self, s):
+        if s != s:
+            raise DomainError("t_of_s queried at a NaN height")
         traj = self.traj
         u = self.s_grid
         rr = self.t_of_s_nodes
         s = min(max(s, u[-1]), u[0])
         # u is decreasing; find segment with u[i] >= s >= u[i+1]
-        i = int(np.searchsorted(-u, -s, side="left"))
+        i = int(np.searchsorted(self._neg_s_grid, -s, side="left"))
         if i == 0:
             return float(rr[0])
         i -= 1

@@ -29,7 +29,13 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, StepFailure
 from .model import _strictly_decreasing_violation
-from .quadrature import LogLogTable, adaptive_quad, loglog_cumint
+from .quadrature import (
+    FloatDenseOutput,
+    FloatPPoly,
+    LogLogTable,
+    adaptive_quad,
+    loglog_cumint,
+)
 from .shoot import integrate_ivp, invert_profile
 
 _FP_MAX_ITER = 30
@@ -55,15 +61,15 @@ class VariationalState:
         """(phi, phi', P, Theta) at any r in [0, r0]."""
         model = self.model
         n, p = model.n, model.p
-        if r < 0.0 or r > self.r0 * (1.0 + 1e-12):
+        if not (0.0 <= r <= self.r0 * (1.0 + 1e-12)):
             raise DomainError(f"variational state queried outside [0, r0]: r={r}")
         if r == 0.0:
             return 1.0, 0.0, 0.0, 0.0
         if r <= self._r1:
-            phi = float(self._startup_phi(math.log(r)))
+            phi = self._startup_phi(math.log(r))
             P = -self._startup_absP(r)
         else:
-            phi, P = (float(v) for v in self._ode_sol.sol(min(r, self.r0)))
+            phi, P = self._ode_sol(min(r, self.r0))
         u, du, _ = self.traj.eval(min(r, self.r0))
         rn = r ** (n - 1.0)
         dphi = P * abs(du) ** (2.0 - p) / ((p - 1.0) * rn)
@@ -146,9 +152,9 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
         dphi=np.empty_like(r_nodes),
         theta=np.empty_like(r_nodes),
         r0=r0,
-        _startup_phi=PchipInterpolator(np.log(s), phi_s),
+        _startup_phi=FloatPPoly(PchipInterpolator(np.log(s), phi_s)),
         _startup_absP=LogLogTable(s, absP),
-        _ode_sol=sol,
+        _ode_sol=FloatDenseOutput(sol.sol),
         _r1=startup.r1,
     )
     for i, r in enumerate(r_nodes):
