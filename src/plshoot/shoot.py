@@ -11,28 +11,28 @@ The integrated state is (u, m) with m = r^{n-1} |u'|^{p-2} u', never
 recovered as sign(m) (|m|/r^{n-1})^{1/(p-1)}.
 
 The origin is degenerate, so integration starts from a small radius r1
-whose state comes from the frozen integral form of the equation
-(one fixed-point refinement included); r1 is chosen so the transformed
-arclength t(r1) = int_0^{r1} K^{1/p} equals the configured startup
-radius, which keeps startup accuracy uniform across weight families.
+whose state comes from the integral form of the equation, linearised
+in the deviation alpha - u: a closed form in f(alpha) over per-model
+tables of alpha-independent integrals, built once per model and r1 and
+cached with r1 itself.  r1 is chosen so the transformed arclength
+t(r1) = int_0^{r1} K^{1/p} equals the configured startup radius, which
+keeps startup accuracy uniform across weight families.
 Every weight is integrated in r: the t variable only sets the startup
 radius.  Weights whose p + r K'/K blows up at the origin still get a
 regular start, since the flux bound |phi_p(v_t)| <= f(alpha) t holds on
 [0, r1], and beyond r1 > 0 the equation in r is regular.
 """
 
-import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, StepFailure
 from .quadrature import (
     FloatDenseOutput,
-    FloatPPoly,
     LogLogTable,
     adaptive_quad,
     cumulative_quad,
@@ -133,67 +133,116 @@ def _du_from_m(m, r, n, p):
 
 
 _STARTUP_POINTS = 25  # log-spaced over [r1 * 1e-6, r1]
+_STARTUP_DEV = 1e-6  # largest accepted alpha - u(r1), relative to alpha
+
+# The startup's alpha-independent data per model, (t_start, r_max) -> r1
+# and r1 -> _StartupTables; weakly keyed, so it goes with its model.
+_PER_MODEL = weakref.WeakKeyDictionary()
+
+
+def _per_model(model, key, build):
+    """build() for this model and key, built on first use and cached."""
+    entries = _PER_MODEL.setdefault(model, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
+
+
+@dataclass(frozen=True)
+class _StartupTables:
+    """Integrals on the startup grid s, none depending on alpha
+    (e = 1/(p-1)), read-only:
+
+        J = int_0^s sigma^{n-1} K,       S1 = (J/s^{n-1})^e,
+        U1 = int_0^s S1,                 L = int_0^s sigma^{n-1} K U1,
+        V = int_0^s S1 L/J,
+
+    and t1 = t(r1)."""
+
+    s: np.ndarray
+    J: np.ndarray
+    U1: np.ndarray
+    L: np.ndarray
+    V: np.ndarray
+    t1: float
+
+
+def _startup_tables(model, r1):
+    n, e, K = model.n, 1.0 / (model.p - 1.0), model.weight.K
+    s = np.geomspace(r1 * 1e-6, r1, _STARTUP_POINTS)
+    s.setflags(write=False)
+
+    def integral(f):
+        out = cumulative_quad(f, s, head_from_zero=True)
+        out.setflags(write=False)
+        return out
+
+    J = integral(lambda x: x ** (n - 1.0) * K(x))
+    if not np.all(J > 0.0):
+        raise StepFailure("weight mass vanished on the startup interval")
+    J_of = LogLogTable(s, J)
+
+    def S1(x):
+        return (J_of(x) / x ** (n - 1.0)) ** e
+
+    U1 = integral(S1)
+    U1_of = LogLogTable(s, U1)
+    L = integral(lambda x: x ** (n - 1.0) * K(x) * U1_of(x))
+    L_of = LogLogTable(s, L)
+    V = integral(lambda x: S1(x) * L_of(x) / J_of(x))
+    return _StartupTables(s, J, U1, L, V, transformed_arclength(model, r1))
 
 
 def origin_startup(model, alpha, r1, refine=True):
-    """State (u, m) at r1 from the frozen integral form of the equation:
+    """State (u, m) at r1 from the integral form of the equation,
 
-        m(r) = -int_0^r s^{n-1} K(s) f(alpha) ds,
+        m(r) = -int_0^r s^{n-1} K(s) f(u(s)) ds,
         u(r) = alpha - int_0^r (|m(s)|/s^{n-1})^{1/(p-1)} ds,
 
-    followed by one fixed-point refinement with f(u(s)) re-evaluated
-    (skipped when refine is false, exposing the quadrature-exact frozen
-    pass).  The refinement corrects at the size of (alpha - u), which
-    the caller keeps below 1e-6 alpha.
+    linearised in alpha - u.  With f(u) = f - c (alpha - u), f = f(alpha)
+    and e = 1/(p-1), it closes on the per-model tables of
+    _startup_tables:
+
+        m = -(f J - c f^e L),   alpha - u = f^e U1 - e c f^{2e-1} V,
+
+    up to O((alpha - u)^2).  The slope c is the secant of f over
+    [alpha - f^e U1(r1), alpha], so f' is never needed; refine=False sets
+    c = 0, the frozen pass.  The correction is made only while the
+    frozen alpha - u(r1) is within 1e-6 alpha, where integrate_ivp
+    accepts a startup; past it the frozen pass is returned, which that
+    check rejects.
     """
-    n, p = model.n, model.p
-    nl, w = model.nonlinearity, model.weight
+    nl = model.nonlinearity
+    e = 1.0 / (model.p - 1.0)
     try:
-        f_alpha = nl.f(alpha)
+        f = nl.f(alpha)
     except OverflowError as exc:
         raise DomainError(f"f(alpha) overflows at alpha={alpha}") from exc
-    if f_alpha <= 0.0:
-        raise DomainError(f"origin startup needs f(alpha) > 0, got f({alpha})={f_alpha}")
-
-    s_grid = np.geomspace(r1 * 1e-6, r1, _STARTUP_POINTS)
-    e = 1.0 / (p - 1.0)
-
-    def integral_form(f_of_s):
-        """J = int_0^s sigma^{n-1} K f, its table and U = int_0^s (J/sigma^{n-1})^e
-        on the grid, for the source f(u(s)) given as a function of s."""
-        J = cumulative_quad(lambda s: s ** (n - 1.0) * w.K(s) * f_of_s(s),
-                            s_grid, head_from_zero=True)
-        if not np.all(J > 0.0):
-            raise StepFailure("weight mass vanished on the startup interval")
-        flux = LogLogTable(s_grid, J)
-        U = cumulative_quad(lambda s: (flux(s) / s ** (n - 1.0)) ** e,
-                            s_grid, head_from_zero=True)
-        return J, flux, U
-
-    J, flux, U = integral_form(lambda s: f_alpha)
-    if refine:
-        # one refinement: f evaluated on the frozen profile
-        u_frozen = FloatPPoly(PchipInterpolator(np.log(s_grid), alpha - U))
-        lo = math.log(s_grid[0])
-
-        def f_frozen(s):
-            ls = math.log(s)
-            return nl.f_clamped(alpha - U[0] if ls < lo else u_frozen(ls))
-
-        J, flux, U = integral_form(f_frozen)
-
-    u = alpha - U
+    if f <= 0.0:
+        raise DomainError(f"origin startup needs f(alpha) > 0, got f({alpha})={f}")
+    tab = _per_model(model, ("tables", r1), lambda: _startup_tables(model, r1))
+    try:
+        fe = f ** e
+        dev1 = fe * float(tab.U1[-1])
+        c = 0.0
+        if refine and 0.0 < dev1 <= _STARTUP_DEV * alpha:
+            c = (f - nl.f(alpha - dev1)) / dev1
+        ecf = e * c * f ** (2.0 * e - 1.0) if c else 0.0
+    except OverflowError as exc:
+        raise DomainError(f"f(alpha)^(1/(p-1)) overflows at alpha={alpha}") from exc
+    flux = f * tab.J - c * fe * tab.L
+    dev = fe * tab.U1 - ecf * tab.V
     return StartupProfile(
         r1=r1,
-        u1=float(u[-1]),
-        m1=float(-J[-1]),
-        t1=transformed_arclength(model, r1),
-        r_grid=np.concatenate(([0.0], s_grid)),
-        u_grid=np.concatenate(([alpha], u)),
-        m_grid=np.concatenate(([0.0], -J)),
+        u1=float(alpha - dev[-1]),
+        m1=float(-flux[-1]),
+        t1=tab.t1,
+        r_grid=np.concatenate(([0.0], tab.s)),
+        u_grid=np.concatenate(([alpha], alpha - dev)),
+        m_grid=np.concatenate(([0.0], -flux)),
         alpha=alpha,
-        dev=LogLogTable(s_grid, U),
-        flux=flux,
+        dev=LogLogTable(tab.s, dev),
+        flux=LogLogTable(tab.s, flux),
     )
 
 
@@ -297,9 +346,11 @@ def integrate_ivp(model, alpha, controls=None):
     t_start = controls.startup_radius
     startup = None
     for _ in range(10):
-        r1 = radius_for_arclength(model, t_start, r_cap=controls.r_max)
+        r1 = _per_model(model, ("r1", t_start, controls.r_max),
+                        lambda: radius_for_arclength(model, t_start,
+                                                     r_cap=controls.r_max))
         prof = origin_startup(model, alpha, r1)
-        if alpha - prof.u1 <= 1e-6 * alpha:
+        if alpha - prof.u1 <= _STARTUP_DEV * alpha:
             startup = prof
             break
         t_start /= 4.0

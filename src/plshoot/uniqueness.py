@@ -27,12 +27,16 @@ class BracketResult:
     """A certified Positive/Crossing bracket.  shot_lo and shot_hi are the
     ShotOutcomes (trajectories attached) that certified the endpoints;
     their trajectories carry the controls used, which may be tighter
-    than the caller's."""
+    than the caller's.  converged says whether the certified width got
+    below tol_alpha; uncertified_steps counts the undecided midpoints
+    that moved the working interval without a certificate."""
 
     shot_lo: object  # certified Positive
     shot_hi: object  # certified Crossing
     iterations: int
     best_candidate: object  # ShotOutcome at the bracket midpoint
+    converged: bool
+    uncertified_steps: int
 
     @property
     def alpha_lo(self):
@@ -56,6 +60,8 @@ class BracketResult:
             "alpha_hi": self.alpha_hi,
             "width": self.width,
             "iterations": self.iterations,
+            "converged": self.converged,
+            "uncertified_steps": self.uncertified_steps,
             "candidate_u_R": self.best_candidate.u_R,
             "candidate_R_du_R": self.best_candidate.R * abs(self.best_candidate.du_R),
             "candidate_kind": self.best_candidate.kind,
@@ -86,7 +92,7 @@ def find_ground_state(model, alpha_lo, alpha_hi, tol_alpha, controls=None,
             f"alpha_hi={alpha_hi} classifies {cert_hi.kind}, not Crossing")
 
     lo, hi = alpha_lo, alpha_hi  # working interval
-    iterations = 0
+    iterations = uncertified = 0
     while hi - lo >= tol_alpha and iterations < max_iter:
         mid = 0.5 * (lo + hi)
         out = classify(model, mid, controls, keep_trajectory=True)
@@ -103,11 +109,13 @@ def find_ground_state(model, alpha_lo, alpha_hi, tol_alpha, controls=None,
         else:
             # conservative: keep the Crossing certificate, push lo
             lo = mid
+            uncertified += 1
         iterations += 1
 
     best = classify(model, 0.5 * (cert_lo.alpha + cert_hi.alpha), controls,
                     keep_trajectory=True)
-    return BracketResult(cert_lo, cert_hi, iterations, best)
+    converged = cert_hi.alpha - cert_lo.alpha < tol_alpha
+    return BracketResult(cert_lo, cert_hi, iterations, best, converged, uncertified)
 
 
 @dataclass
