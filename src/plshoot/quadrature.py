@@ -41,10 +41,11 @@ def adaptive_quad(f, a, b, rel_tol=1e-12, abs_tol=1e-14, limit=200):
 
 
 def cumulative_quad(f, xs, head_from_zero=False, rel_tol=1e-12, abs_tol=1e-14):
-    """Cumulative integral of f at the points xs (increasing).
+    """Cumulative integral of f at the points xs (monotone; when they
+    decrease, each piece is integrated backwards and so counts negative).
 
-    Returns C with C[j] = integral of f over [xs[0], xs[j]]; when
-    head_from_zero is set, over [0, xs[j]] (the head piece may hold an
+    Returns C with C[j] = integral of f from xs[0] to xs[j]; when
+    head_from_zero is set, from 0 to xs[j] (the head piece may hold an
     integrable singularity, which QAGS absorbs).
     """
     xs = np.asarray(xs, dtype=float)
@@ -178,9 +179,11 @@ class FloatDenseOutput:
 class LogLogTable:
     """A positive, power-law-like sampled function y(x) (xs increasing):
     a monotone PCHIP of log y against log x, continued below xs[0] as the
-    power law with the secant slope of the first two samples."""
+    power law with the secant slope of the first two samples.  The
+    samples stay readable as xs and ys."""
 
     def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
         self._pchip = FloatPPoly(PchipInterpolator(np.log(xs), np.log(ys)))
         self._lx0, self._ly0 = math.log(xs[0]), math.log(ys[0])
         self._slope = (math.log(ys[1]) - self._ly0) / (math.log(xs[1]) - self._lx0)
@@ -190,28 +193,6 @@ class LogLogTable:
         if lx < self._lx0:
             return math.exp(self._ly0 + self._slope * (lx - self._lx0))
         return math.exp(self._pchip(lx))
-
-
-def loglog_cumint(xs, ys):
-    """Cumulative integral of a positive power-law-like sampled function.
-
-    Integrates in log-x: int y dx = int (y*x) dlogx via a PCHIP
-    antiderivative, with the head below xs[0] extrapolated as the power
-    law fitted to the first two samples.  Exact, up to rounding, for
-    pure powers; used for the singular startup integrands.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("loglog_cumint needs strictly positive samples")
-    lx = np.log(xs)
-    yx = ys * xs
-    anti = PchipInterpolator(lx, yx).antiderivative()
-    body = anti(lx) - anti(lx[0])
-    # head: y*x ~ C exp(beta*logx) with beta>0 since y is integrable at 0
-    beta = (np.log(yx[1]) - np.log(yx[0])) / (lx[1] - lx[0])
-    head = yx[0] / beta if beta > 1e-12 else 0.0
-    return head + body
 
 
 def sign_power(x, e):

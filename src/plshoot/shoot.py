@@ -23,6 +23,7 @@ regular start, since the flux bound |phi_p(v_t)| <= f(alpha) t holds on
 [0, r1], and beyond r1 > 0 the equation in r is regular.
 """
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -105,7 +106,10 @@ def radius_for_arclength(model, t_target, r_hint=1.0, r_cap=1e6):
 
 @dataclass
 class StartupProfile:
-    """The trajectory on [0, r1], represented through the integral form."""
+    """The trajectory on [0, r1], a closed form over the per-model
+    startup tables (see origin_startup): the grid values, and the
+    coefficients (f, c f^e, f^e, e c f^{2e-1}) that eval applies to the
+    tables' interpolants between them."""
 
     r1: float
     u1: float
@@ -115,15 +119,18 @@ class StartupProfile:
     u_grid: np.ndarray
     m_grid: np.ndarray
     alpha: float
-    dev: LogLogTable = field(repr=False)   # alpha - u
-    flux: LogLogTable = field(repr=False)  # |m|
+    tables: "_StartupTables" = field(repr=False)
+    coefficients: tuple = field(repr=False)
 
     def eval(self, model, r):
         if r <= 0.0:
             return self.alpha, 0.0, 0.0
         r = min(r, self.r1)
-        m = -self.flux(r)
-        return self.alpha - self.dev(r), _du_from_m(m, r, model.n, model.p), m
+        tab = self.tables
+        f, cfe, fe, ecf = self.coefficients
+        m = -(f * tab.J(r) - cfe * tab.L(r))
+        u = self.alpha - (fe * tab.U1(r) - ecf * tab.V(r))
+        return u, _du_from_m(m, r, model.n, model.p), m
 
 
 def _du_from_m(m, r, n, p):
@@ -151,7 +158,7 @@ def _per_model(model, key, build):
 @dataclass(frozen=True)
 class _StartupTables:
     """Integrals on the startup grid s, none depending on alpha
-    (e = 1/(p-1)), read-only:
+    (e = 1/(p-1)), each a LogLogTable holding its grid values as ys:
 
         J = int_0^s sigma^{n-1} K,       S1 = (J/s^{n-1})^e,
         U1 = int_0^s S1,                 L = int_0^s sigma^{n-1} K U1,
@@ -160,10 +167,10 @@ class _StartupTables:
     and t1 = t(r1)."""
 
     s: np.ndarray
-    J: np.ndarray
-    U1: np.ndarray
-    L: np.ndarray
-    V: np.ndarray
+    J: LogLogTable
+    U1: LogLogTable
+    L: LogLogTable
+    V: LogLogTable
     t1: float
 
 
@@ -174,22 +181,19 @@ def _startup_tables(model, r1):
 
     def integral(f):
         out = cumulative_quad(f, s, head_from_zero=True)
+        if not np.all(out > 0.0):
+            raise StepFailure("weight mass vanished on the startup interval")
         out.setflags(write=False)
-        return out
+        return LogLogTable(s, out)
 
     J = integral(lambda x: x ** (n - 1.0) * K(x))
-    if not np.all(J > 0.0):
-        raise StepFailure("weight mass vanished on the startup interval")
-    J_of = LogLogTable(s, J)
 
     def S1(x):
-        return (J_of(x) / x ** (n - 1.0)) ** e
+        return (J(x) / x ** (n - 1.0)) ** e
 
     U1 = integral(S1)
-    U1_of = LogLogTable(s, U1)
-    L = integral(lambda x: x ** (n - 1.0) * K(x) * U1_of(x))
-    L_of = LogLogTable(s, L)
-    V = integral(lambda x: S1(x) * L_of(x) / J_of(x))
+    L = integral(lambda x: x ** (n - 1.0) * K(x) * U1(x))
+    V = integral(lambda x: S1(x) * L(x) / J(x))
     return _StartupTables(s, J, U1, L, V, transformed_arclength(model, r1))
 
 
@@ -210,7 +214,8 @@ def origin_startup(model, alpha, r1, refine=True):
     c = 0, the frozen pass.  The correction is made only while the
     frozen alpha - u(r1) is within 1e-6 alpha, where integrate_ivp
     accepts a startup; past it the frozen pass is returned, which that
-    check rejects.
+    check rejects.  The profile keeps the tables and the four
+    coefficients, so it builds no interpolant of its own.
     """
     nl = model.nonlinearity
     e = 1.0 / (model.p - 1.0)
@@ -223,15 +228,16 @@ def origin_startup(model, alpha, r1, refine=True):
     tab = _per_model(model, ("tables", r1), lambda: _startup_tables(model, r1))
     try:
         fe = f ** e
-        dev1 = fe * float(tab.U1[-1])
+        dev1 = fe * float(tab.U1.ys[-1])
         c = 0.0
         if refine and 0.0 < dev1 <= _STARTUP_DEV * alpha:
             c = (f - nl.f(alpha - dev1)) / dev1
         ecf = e * c * f ** (2.0 * e - 1.0) if c else 0.0
     except OverflowError as exc:
         raise DomainError(f"f(alpha)^(1/(p-1)) overflows at alpha={alpha}") from exc
-    flux = f * tab.J - c * fe * tab.L
-    dev = fe * tab.U1 - ecf * tab.V
+    cfe = c * fe
+    flux = f * tab.J.ys - cfe * tab.L.ys
+    dev = fe * tab.U1.ys - ecf * tab.V.ys
     return StartupProfile(
         r1=r1,
         u1=float(alpha - dev[-1]),
@@ -241,8 +247,8 @@ def origin_startup(model, alpha, r1, refine=True):
         u_grid=np.concatenate(([alpha], alpha - dev)),
         m_grid=np.concatenate(([0.0], -flux)),
         alpha=alpha,
-        dev=LogLogTable(tab.s, dev),
-        flux=LogLogTable(tab.s, flux),
+        tables=tab,
+        coefficients=(f, cfe, fe, ecf),
     )
 
 
@@ -333,6 +339,9 @@ def integrate_ivp(model, alpha, controls=None):
     """Shoot from height alpha; see the module docstring for the scheme."""
     controls = controls or IntegratorControls()
     u0 = model.u0
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha={alpha} is not a finite height",
+                          witness={"alpha": alpha})
     if not alpha > u0:
         raise DomainError(
             f"alpha={alpha} <= u0={u0}: the energy |u'|^p/(p' K) + F(u) starts "

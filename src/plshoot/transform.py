@@ -169,11 +169,8 @@ def _build_h(pair, p, grid):
     tail = pair.a(r_big) ** e * r_big / (-c - 1.0)
 
     rs = np.geomspace(r_lo, r_big, 400)
-    hs = np.empty_like(rs)
-    hs[-1] = tail
-    fun = lambda s: pair.a(s) ** e
-    for i in range(len(rs) - 2, -1, -1):
-        hs[i] = hs[i + 1] + adaptive_quad(fun, rs[i], rs[i + 1])
+    # accumulated from r_big down: h(r) = tail + int_r^{r_big} a^{1-p'}
+    hs = tail - cumulative_quad(lambda s: pair.a(s) ** e, rs[::-1])[::-1]
     table = LogLogTable(rs, hs)
 
     def h(r):

@@ -9,6 +9,7 @@ decreasing map alpha -> R(alpha) over the crossing range.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,10 +142,12 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
     R is strictly decreasing; bisection on alpha keeps the monotone
     bracket R(lo_alpha) > R_target > R(hi_alpha)."""
     controls = controls or IntegratorControls()
+    if not (math.isfinite(R_target) and R_target > 0.0):
+        raise DomainError(f"R_target must be finite and positive, got {R_target}")
     if tol is None:
         tol = 1e-9 * max(1.0, R_target)
-    if R_target <= 0.0:
-        raise DomainError("R_target must be positive")
+    if not math.isfinite(tol):
+        raise DomainError(f"the Dirichlet tolerance must be finite, got {tol}")
 
     seed = classify(model, alpha_seed, controls, keep_trajectory=True)
     if seed.kind != CROSSING:
@@ -275,6 +278,8 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     Failures never raise; each check carries its witnesses.
     """
     controls = controls or IntegratorControls()
+    if not samples >= 1:
+        raise DomainError(f"verify_suite needs samples >= 1, got {samples}")
     u0 = model.u0
     abar = bracket.midpoint
     step = delta_rel * abar / samples

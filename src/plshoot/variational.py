@@ -14,31 +14,27 @@ radial form with P = d(r^{n-1} phi_p(u'))/dalpha:
     P(r)    = - int_0^r rho^{n-1} K f'(u) phi drho,
     phi(r)  = 1 + int_0^r P |u'|^{2-p} / ((p-1) rho^{n-1}) drho.
 
-Successive substitution contracts on the startup interval (the
-contraction constant scales like t^{p/(p-1)}), after which the regular
-ODE form takes over; phi and P extend continuously to r0.  Theta, the
-flux derivative in t units, is P/q with q = r^{n-1} K^{1/p'}.
+On the startup interval [0, r1] the shot is a closed form over the
+per-model startup tables (shoot.origin_startup); differentiating its
+frozen pass, alpha - u = f(alpha)^e U1 and |m| = f(alpha) J with
+e = 1/(p-1), gives the same linearisation to first order:
+
+    phi = 1 - e g f^{e-1} U1,   |P| = g J,   g = f'(alpha),
+
+on the same tables.  From r1 the regular ODE form takes over; phi and
+P extend continuously to r0.  Theta, the flux derivative in t units,
+is P/q with q = r^{n-1} K^{1/p'}.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, StepFailure
 from .model import _strictly_decreasing_violation
-from .quadrature import (
-    FloatDenseOutput,
-    FloatPPoly,
-    LogLogTable,
-    adaptive_quad,
-    loglog_cumint,
-)
+from .quadrature import FloatDenseOutput, adaptive_quad
 from .shoot import integrate_ivp, invert_profile
-
-_FP_MAX_ITER = 30
 
 
 @dataclass
@@ -52,8 +48,8 @@ class VariationalState:
     dphi: np.ndarray
     theta: np.ndarray
     r0: float
-    _startup_phi: object = field(default=None, repr=False)
-    _startup_absP: object = field(default=None, repr=False)
+    _tables: object = field(default=None, repr=False)  # shoot._StartupTables
+    _startup_coefficients: tuple = (0.0, 0.0)  # g and e g f^{e-1}
     _ode_sol: object = field(default=None, repr=False)
     _r1: float = 0.0
 
@@ -66,8 +62,9 @@ class VariationalState:
         if r == 0.0:
             return 1.0, 0.0, 0.0, 0.0
         if r <= self._r1:
-            phi = self._startup_phi(math.log(r))
-            P = -self._startup_absP(r)
+            g, k = self._startup_coefficients
+            phi = 1.0 - k * self._tables.U1(r)
+            P = -g * self._tables.J(r)
         else:
             phi, P = self._ode_sol(min(r, self.r0))
         u, du, _ = self.traj.eval(min(r, self.r0))
@@ -96,29 +93,14 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
     n, p = model.n, model.p
     nl, w = model.nonlinearity, model.weight
 
-    # --- startup: contraction on the integral system -----------------------
-    s = startup.r_grid[1:]
-    u_s = startup.u_grid[1:]
-    m_s = startup.m_grid[1:]
-    rn_s = s ** (n - 1.0)
-    w_s = (np.abs(m_s) / rn_s) ** (1.0 / (p - 1.0))
-    K_s = np.array([w.K(x) for x in s])
-    fp_s = np.array([nl.fprime_at_or_above_u0(x) for x in u_s])
-
-    phi_s = np.ones_like(s)
-    for _ in range(_FP_MAX_ITER):
-        y1 = rn_s * K_s * fp_s * phi_s
-        if np.any(y1 <= 0.0):
-            raise StepFailure("variational startup lost positivity")
-        absP = loglog_cumint(s, y1)
-        y2 = absP * w_s ** (2.0 - p) / ((p - 1.0) * rn_s)
-        phi_new = 1.0 - loglog_cumint(s, y2)
-        delta = float(np.max(np.abs(phi_new - phi_s)))
-        phi_s = phi_new
-        if delta < 1e-15:
-            break
-    else:
-        raise StepFailure("variational startup fixed point did not converge")
+    # --- startup: the closed form on the shot's tables ----------------------
+    tab = startup.tables
+    e = 1.0 / (p - 1.0)
+    g = nl.fprime_at_or_above_u0(traj.alpha)
+    if not g > 0.0:
+        raise StepFailure(
+            f"variational startup lost positivity: f'(alpha)={g} at alpha={traj.alpha}")
+    k = e * g * nl.f(traj.alpha) ** (e - 1.0)
 
     # --- regular region: linear ODE in r ------------------------------------
     def rhs(r, y):
@@ -133,7 +115,7 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
     sol = solve_ivp(
         rhs,
         (startup.r1, r0),
-        (float(phi_s[-1]), -float(absP[-1])),
+        (1.0 - k * float(tab.U1.ys[-1]), -g * float(tab.J.ys[-1])),
         method="DOP853",
         dense_output=True,
         rtol=rel_tol,
@@ -152,8 +134,8 @@ def solve_variational(model, traj, rel_tol=1e-11, abs_tol=1e-13):
         dphi=np.empty_like(r_nodes),
         theta=np.empty_like(r_nodes),
         r0=r0,
-        _startup_phi=FloatPPoly(PchipInterpolator(np.log(s), phi_s)),
-        _startup_absP=LogLogTable(s, absP),
+        _tables=tab,
+        _startup_coefficients=(g, k),
         _ode_sol=FloatDenseOutput(sol.sol),
         _r1=startup.r1,
     )

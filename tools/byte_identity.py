@@ -74,6 +74,15 @@ COMMANDS = (
     + [("variational --fd-check 1e-4 log_gaussian",
         [["variational", *_cfg("log_gaussian"), "--alpha", "5", "--out", "var.csv",
           "--fd-check", "1e-4"]])]
+    # degenerate inputs, each expected to end in a DomainError record
+    + [(" ".join(argv), [[argv[0], *_cfg("canonical"), *argv[1:]]]) for argv in (
+        ["classify", "--alpha", "inf"],
+        ["integrate", "--alpha", "inf", "--out", "traj.csv"],
+        ["dirichlet", "--radius", "inf", "--seed", "8"],
+        ["dirichlet", "--radius", "nan", "--seed", "8"],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "-1"],
+    )]
 )
 
 
