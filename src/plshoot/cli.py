@@ -9,6 +9,7 @@ witness.  --threads is accepted for compatibility; shots run serially.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -183,6 +184,9 @@ def cmd_dirichlet(args):
 
 
 def cmd_variational(args):
+    h = args.fd_check
+    if h is not None and not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"--fd-check needs a finite H > 0, got {h}")
     model = mdl.load_model(args.config)
     controls = _controls(args)
     traj = integrate_ivp(model, args.alpha, controls)
@@ -190,8 +194,7 @@ def cmd_variational(args):
     rows = ([state.r[i], state.phi[i], state.dphi[i], state.theta[i]]
             for i in range(len(state.r)))
     write_csv(args.out, ["r", "phi", "dphi", "theta"], rows)
-    if args.fd_check is not None:
-        h = args.fd_check
+    if h is not None:
         tp = integrate_ivp(model, args.alpha + h, controls)
         tm = integrate_ivp(model, args.alpha - h, controls)
         sel = state.r[(state.r > 0.0) & (state.r <= 0.9 * state.r0)]

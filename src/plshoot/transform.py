@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Parameters, ProblemModel, closure_weight
 from .quadrature import LogLogTable, adaptive_quad, cumulative_quad
+from .shoot import radius_for_arclength, transformed_arclength
 
 
 class GeneralWeightPair:
@@ -300,45 +301,27 @@ class QtChange:
         return self.q(t) * combo / (model.params.pprime * r * K ** (1.0 / p))
 
 
-def qt_change(model, r_lo=1e-8, r_hi=1e6, points=500):
-    """Build the arclength maps on [r_lo, r_hi] (log-dense sampling,
-    monotone interpolation).  Assumes the weight hypothesis holds, which
-    makes K^{1/p} integrable at 0 and non-integrable at infinity."""
-    p = model.p
-    kern = lambda s: model.weight.K(s) ** (1.0 / p)
-    rs = np.geomspace(r_lo, r_hi, points)
-    tvals = cumulative_quad(kern, rs, head_from_zero=True)
-    if not np.all(tvals > 0) or not np.all(np.diff(tvals) > 0):
+def qt_change(model, r_lo=1e-8, r_hi=1e6):
+    """The arclength maps on [r_lo, r_hi], on shoot's t(r) and its
+    inverse.  Assumes the weight hypothesis holds, which makes K^{1/p}
+    integrable at 0 and non-integrable at infinity."""
+    t_lo = transformed_arclength(model, r_lo)
+    t_hi = transformed_arclength(model, r_hi)
+    if not 0.0 < t_lo < t_hi:
         raise DomainError("arclength failed to be strictly increasing; "
                           "the weight is outside scope")
-    r_table = LogLogTable(tvals, rs)
 
     def t_of_r(r):
-        """Quadrature-exact: cumulative value at the nearest grid node
-        plus a short local increment."""
         if r <= 0.0:
             return 0.0
-        if r < rs[0]:
-            return adaptive_quad(kern, 0.0, r)
-        if r > rs[-1]:
+        if r > r_hi:
             raise DomainError(f"t(r) queried beyond working range: r={r}")
-        i = int(np.searchsorted(rs, r, side="right")) - 1
-        return tvals[i] + adaptive_quad(kern, rs[i], r)
+        return transformed_arclength(model, r)
 
     def r_of_t(t):
-        if t < tvals[0] or t > tvals[-1]:
+        if t < t_lo or t > t_hi:
             raise DomainError(f"r(t) queried outside working range: t={t}")
-        r = r_table(t)
-        # safeguarded Newton polish on the exact arclength
-        for _ in range(6):
-            resid = t_of_r(r) - t
-            if abs(resid) <= 1e-13 * t:
-                break
-            step = -resid / kern(r)
-            if abs(step) > 0.5 * r:
-                step = math.copysign(0.5 * r, step)
-            r = min(max(r + step, rs[0]), rs[-1])
-        return r
+        return radius_for_arclength(model, t, r_cap=r_hi)
 
     return QtChange(model, (r_lo, r_hi), t_of_r, r_of_t)
 

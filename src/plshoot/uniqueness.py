@@ -69,6 +69,41 @@ class BracketResult:
         }
 
 
+def _bisect(model, lo, hi, side, controls, tol_alpha, max_iter, done=None):
+    """Halve the certified bracket (lo, hi) of two ShotOutcomes.
+
+    side(out) is -1 for lo's side, +1 for hi's side and 0 when undecided.
+    An undecided midpoint is shot again with 10x tighter tolerances; if
+    still undecided it moves the working lo without a certificate.  Stops
+    once the working width is below tol_alpha or not above 1e-15 * a_hi,
+    after max_iter midpoints, or when done(midpoint) holds.  Returns lo,
+    hi, the last outcome shot (hi if none), iterations, uncertified steps."""
+    a_lo, a_hi = lo.alpha, hi.alpha  # working interval
+    out = hi
+    iterations = uncertified = 0
+    while (a_hi - a_lo >= tol_alpha and a_hi - a_lo > 1e-15 * a_hi
+           and iterations < max_iter):
+        mid = 0.5 * (a_lo + a_hi)
+        out = classify(model, mid, controls, keep_trajectory=True)
+        s = side(out)
+        if s == 0:
+            tighter = controls.with_tolerances(
+                controls.rel_tol / 10.0, controls.abs_tol / 10.0)
+            out = classify(model, mid, tighter, keep_trajectory=True)
+            s = side(out)
+        iterations += 1
+        if s > 0:
+            a_hi, hi = mid, out
+        elif s < 0:
+            a_lo, lo = mid, out
+        else:
+            a_lo = mid  # conservative: keep hi's certificate
+            uncertified += 1
+        if done is not None and done(out):
+            break
+    return lo, hi, out, iterations, uncertified
+
+
 def find_ground_state(model, alpha_lo, alpha_hi, tol_alpha, controls=None,
                       max_iter=200):
     """Bisect the Positive/Crossing transition down to width tol_alpha.
@@ -92,27 +127,10 @@ def find_ground_state(model, alpha_lo, alpha_hi, tol_alpha, controls=None,
         raise DomainError(
             f"alpha_hi={alpha_hi} classifies {cert_hi.kind}, not Crossing")
 
-    lo, hi = alpha_lo, alpha_hi  # working interval
-    iterations = uncertified = 0
-    while hi - lo >= tol_alpha and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        out = classify(model, mid, controls, keep_trajectory=True)
-        if out.kind not in (POSITIVE, CROSSING):
-            tighter = controls.with_tolerances(
-                controls.rel_tol / 10.0, controls.abs_tol / 10.0)
-            out = classify(model, mid, tighter, keep_trajectory=True)
-        if out.kind == CROSSING:
-            hi = mid
-            cert_hi = out
-        elif out.kind == POSITIVE:
-            lo = mid
-            cert_lo = out
-        else:
-            # conservative: keep the Crossing certificate, push lo
-            lo = mid
-            uncertified += 1
-        iterations += 1
-
+    sides = {POSITIVE: -1, CROSSING: 1}
+    cert_lo, cert_hi, _, iterations, uncertified = _bisect(
+        model, cert_lo, cert_hi, lambda out: sides.get(out.kind, 0), controls,
+        tol_alpha, max_iter)
     best = classify(model, 0.5 * (cert_lo.alpha + cert_hi.alpha), controls,
                     keep_trajectory=True)
     converged = cert_hi.alpha - cert_lo.alpha < tol_alpha
@@ -125,6 +143,7 @@ class DirichletSolution:
     R_target: float
     outcome: object  # ShotOutcome with trajectory attached
     u_at_target: float
+    converged: bool  # |R - R_target| <= tol; else the bracket collapsed
 
     def to_record(self):
         return {
@@ -133,6 +152,7 @@ class DirichletSolution:
             "R": self.outcome.R,
             "u_at_target": self.u_at_target,
             "du_R": self.outcome.du_R,
+            "converged": self.converged,
         }
 
 
@@ -146,75 +166,56 @@ def solve_dirichlet(model, R_target, alpha_seed, tol=None, controls=None,
         raise DomainError(f"R_target must be finite and positive, got {R_target}")
     if tol is None:
         tol = 1e-9 * max(1.0, R_target)
-    if not math.isfinite(tol):
-        raise DomainError(f"the Dirichlet tolerance must be finite, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(
+            f"the Dirichlet tolerance must be finite and positive, got {tol}")
 
     seed = classify(model, alpha_seed, controls, keep_trajectory=True)
     if seed.kind != CROSSING:
         raise DomainError(
             f"alpha_seed={alpha_seed} classifies {seed.kind}, not Crossing")
 
-    def finish(a, out):
+    def met(out):
+        return abs(out.R - R_target) <= tol
+
+    def finish(out):
         traj = out.trajectory
         u_t = traj.u_at(min(R_target, traj.R))
-        return DirichletSolution(a, R_target, out, u_t)
+        return DirichletSolution(out.alpha, R_target, out, u_t, met(out))
 
-    if abs(seed.R - R_target) <= tol:
-        return finish(alpha_seed, seed)
+    if met(seed):
+        return finish(seed)
 
-    if R_target < seed.R:
-        # larger alpha shrinks R: double away from the seed
-        a_dn, out_dn = alpha_seed, seed
-        a = alpha_seed
-        for _ in range(80):
-            a *= 2.0
-            out = classify(model, a, controls, keep_trajectory=True)
-            if out.kind != CROSSING:
-                raise DomainError(
-                    f"doubling left the crossing branch at alpha={a}")
-            if out.R < R_target:
-                a_up, out_up = a, out
-                break
-            a_dn, out_dn = a, out
-        else:
-            raise DomainError(
-                f"R_target={R_target} below every reachable crossing radius")
-    else:
-        # smaller alpha grows R, but only down to the ground state
-        a_up, out_up = alpha_seed, seed
-        a = alpha_seed
-        for _ in range(200):
-            a = model.u0 + 0.5 * (a - model.u0)
-            out = classify(model, a, controls, keep_trajectory=True)
-            if out.kind != CROSSING:
-                raise DomainError(
-                    f"R_target={R_target} exceeds the supremum of R on the "
-                    f"crossing branch (left it at alpha={a}, kind={out.kind})",
-                    witness={"alpha": a, "kind": out.kind},
-                )
-            if out.R > R_target:
-                a_dn, out_dn = a, out
-                break
-            a_up, out_up = a, out
-        else:
-            raise DomainError("could not bracket R_target from above")
-
-    for _ in range(max_iter):
-        mid = 0.5 * (a_dn + a_up)
-        out = classify(model, mid, controls, keep_trajectory=True)
+    # larger alpha shrinks R: double away from the seed, or halve
+    # towards u0, where the crossing branch ends at the ground state
+    down = R_target < seed.R
+    near = seed  # the bracket end on the seed's side
+    for _ in range(80 if down else 200):
+        a = 2.0 * near.alpha if down else model.u0 + 0.5 * (near.alpha - model.u0)
+        out = classify(model, a, controls, keep_trajectory=True)
         if out.kind != CROSSING:
             raise DomainError(
-                f"bisection midpoint alpha={mid} left the crossing branch "
-                f"({out.kind}); R_target may exceed the reachable range")
-        if abs(out.R - R_target) <= tol:
-            return finish(mid, out)
-        if out.R > R_target:
-            a_dn = mid
-        else:
-            a_up = mid
-        if a_up - a_dn <= 1e-15 * a_up:
-            return finish(mid, out)
-    raise DomainError(f"Dirichlet inversion did not converge to |R-R_target|<{tol}")
+                f"doubling left the crossing branch at alpha={a}" if down else
+                f"R_target={R_target} exceeds the supremum of R on the "
+                f"crossing branch (left it at alpha={a}, kind={out.kind})",
+                witness={"alpha": a, "kind": out.kind},
+            )
+        if (out.R < R_target) == down:
+            break
+        near = out
+    else:
+        raise DomainError(f"could not bracket R_target={R_target}")
+
+    lo, hi = (near, out) if down else (out, near)
+    _, _, out, _, _ = _bisect(
+        model, lo, hi,
+        lambda o: 0 if o.kind != CROSSING else (-1 if o.R > R_target else 1),
+        controls, 0.0, max_iter, done=lambda o: o.kind != CROSSING or met(o))
+    if out.kind != CROSSING:
+        raise DomainError(
+            f"bisection midpoint alpha={out.alpha} left the crossing branch "
+            f"({out.kind}); R_target may exceed the reachable range")
+    return finish(out)
 
 
 @dataclass
@@ -280,6 +281,9 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     controls = controls or IntegratorControls()
     if not samples >= 1:
         raise DomainError(f"verify_suite needs samples >= 1, got {samples}")
+    if not (math.isfinite(delta_rel) and delta_rel > 0.0):
+        raise DomainError(
+            f"verify_suite needs a finite delta_rel > 0, got {delta_rel}")
     u0 = model.u0
     abar = bracket.midpoint
     step = delta_rel * abar / samples

@@ -1,6 +1,6 @@
 """Digests of plshoot's outputs, for checking that a change moves no bit.
 
-    python tools/byte_identity.py [--root CHECKOUT] [--trajectories]
+    python tools/byte_identity.py [--root CHECKOUT] [--trajectories] [--check]
 
 Runs a fixed list of CLI commands against CHECKOUT/src (default: the
 checkout holding this script), each in a fresh subprocess and a fresh
@@ -9,16 +9,24 @@ prints one line per artifact: the command, the stream or file, its
 sha256 and its size in bytes.  With --trajectories it instead prints
 digests of trajectory nodes, refined startup grids, 57 dense `eval`s
 and the variational state on the four benchmark models at
-alpha in {1.05, 3, 5, 40}.
+alpha in {1.05, 3, 5, 40}.  The first line names the toolchain.
 
 Run it on two checkouts and diff the listings; identical listings mean
-byte-identical outputs.  It needs nothing beyond plshoot's own
-dependencies.
+byte-identical outputs.  --check diffs the listing against the committed
+one, byte_identity.golden or byte_identity.traj.golden next to this
+script, and exits 1 if a line moved; on a toolchain other than the
+golden file's it says so and exits 0 without running anything.  To
+renew a golden file, redirect the listing into it.  It needs nothing
+beyond plshoot's own dependencies.
 """
 
 import argparse
+import contextlib
+import difflib
 import hashlib
+import io
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -82,6 +90,10 @@ COMMANDS = (
         ["dirichlet", "--radius", "nan", "--seed", "8"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "-1"],
+        ["verify", "--delta", "0"],
+        ["verify", "--delta", "nan"],
+        ["dirichlet", "--radius", "1.2", "--seed", "8", "--dirichlet-tol", "-1"],
+        ["variational", "--alpha", "5", "--out", "var.csv", "--fd-check", "0"],
     )]
 )
 
@@ -150,6 +162,30 @@ def run_trajectories(root):
                   f"{_floats([state.r, state.phi, state.dphi, state.theta])}")
 
 
+def toolchain():
+    import numpy
+    import scipy
+
+    return (f"# python {platform.python_version()} numpy {numpy.__version__} "
+            f"scipy {scipy.__version__} {platform.machine()}")
+
+
+def check(listing, golden):
+    """Diff a listing (a callable printing it) against a golden file."""
+    expected = golden.read_text().splitlines()
+    if expected[0] != toolchain():
+        print(f"skipped: {golden.name} was made with {expected[0][2:]}, "
+              f"this is {toolchain()[2:]}")
+        return 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        listing()
+    diff = list(difflib.unified_diff(expected[1:], out.getvalue().splitlines(),
+                                     golden.name, "this checkout", lineterm=""))
+    print("\n".join(diff) if diff else f"identical to {golden.name}")
+    return 1 if diff else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -157,12 +193,16 @@ def main(argv=None):
                         help="checkout whose src/ is run (default: this one)")
     parser.add_argument("--trajectories", action="store_true",
                         help="digest trajectories instead of CLI outputs")
+    parser.add_argument("--check", action="store_true",
+                        help="diff the listing against the committed golden file")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    if args.trajectories:
-        run_trajectories(root)
-    else:
-        run_commands(root)
+    run = run_trajectories if args.trajectories else run_commands
+    if args.check:
+        suffix = ".traj.golden" if args.trajectories else ".golden"
+        return check(lambda: run(root), Path(__file__).with_suffix(suffix))
+    print(toolchain())
+    run(root)
     return 0
 
 
