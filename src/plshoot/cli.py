@@ -8,8 +8,8 @@ witness.  --threads is accepted for compatibility; shots run serially.
 """
 
 import argparse
-import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -19,22 +19,16 @@ from .classify import classify as classify_shot
 from .classify import sweep as classify_sweep
 from .classify import transition_bracket
 from .errors import ConfigError, DomainError, PlshootError, StepFailure
-from .reporting import error_record, fmt17, json_dumps, open_out, write_csv, write_json
+from .reporting import error_record, json_dumps, write_csv, write_json
 from .shoot import IntegratorControls, energy, integrate_ivp
-from .transform import (
-    laplace_pair,
-    matukuma_pair,
-    power_pair,
-    transform_ab_to_K,
+from .transform import load_transform_config, transform_ab_to_K
+from .uniqueness import (
+    check_suite_args,
+    find_ground_state,
+    solve_dirichlet,
+    verify_suite,
 )
-from .uniqueness import find_ground_state, solve_dirichlet, verify_suite
 from .variational import solve_variational
-
-_PAIR_BUILDERS = {
-    "matukuma": (matukuma_pair, ("n", "sigma")),
-    "power": (power_pair, ("k", "l", "s", "sigma", "N")),
-    "laplace": (laplace_pair, ("n",)),
-}
 
 
 def _controls(args):
@@ -45,39 +39,6 @@ def _controls(args):
     if getattr(args, "rmax", None) is not None:
         kw["r_max"] = args.rmax
     return IntegratorControls(**kw)
-
-
-def _load_ab_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("transform config must be a JSON object")
-    extra = set(cfg) - {"p", "N", "pair", "nonlinearity", "grid"}
-    if extra:
-        raise ConfigError(f"unknown transform config keys: {sorted(extra)}")
-    for key in ("p", "N", "pair", "nonlinearity"):
-        if key not in cfg:
-            raise ConfigError(f"missing transform config key {key!r}")
-    pair = mdl._build_from_family(_PAIR_BUILDERS, "pair", cfg["pair"])
-    nl = mdl._build_from_family(mdl._NL_BUILDERS, "nonlinearity",
-                                cfg["nonlinearity"])
-    grid_cfg = cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("grid must be an object with lo/hi/points")
-    extra = set(grid_cfg) - {"lo", "hi", "points"}
-    if extra:
-        raise ConfigError(f"unknown grid keys: {sorted(extra)}")
-    grid = mdl.log_grid(
-        mdl.config_number("grid", grid_cfg, "lo", 1e-4),
-        mdl.config_number("grid", grid_cfg, "hi", 1e4),
-        int(mdl.config_number("grid", grid_cfg, "points", 80)),
-    )
-    p = mdl.config_number("transform config", cfg, "p")
-    N = mdl.config_number("transform config", cfg, "N")
-    return p, N, pair, nl, grid
 
 
 def _trajectory_rows(model, traj):
@@ -98,8 +59,7 @@ def cmd_check(args):
         "K1": rep_k.to_dict(),
         "f": rep_f.to_dict(),
     }
-    with open_out(args.out) as fh:
-        fh.write(json_dumps(out, indent=2) + "\n")
+    write_json(args.out, out)
     return 0
 
 
@@ -123,7 +83,7 @@ def cmd_integrate(args):
     if args.out == "-":
         print(json_dumps(summary), file=sys.stderr)
     else:
-        sidecar = args.out.rsplit(".", 1)[0] + ".json"
+        sidecar = os.path.splitext(args.out)[0] + ".json"
         write_json(sidecar, summary)
     return 0
 
@@ -213,19 +173,12 @@ def cmd_variational(args):
 
 
 def cmd_transform(args):
-    p, N, pair, nl, grid = _load_ab_config(args.config)
+    p, N, pair, nl, grid = load_transform_config(args.config)
     tm = transform_ab_to_K(pair, p, N, grid, nl)
     ts = np.array([tm.forward_map(float(r)) for r in grid])
     ks = np.array([tm.model.weight.K(float(t)) for t in ts])
-    out_cfg = {
-        "p": p,
-        "n": N,
-        "weight": {"family": "tabulated",
-                   "params": {"r": [float(fmt17(t)) for t in ts],
-                              "K": [float(fmt17(k)) for k in ks]}},
-        "nonlinearity": {"family": nl.family, "params": dict(nl.params)},
-    }
-    write_json(args.out, out_cfg)
+    written = mdl.ProblemModel(mdl.Parameters(p, N), mdl.tabulated_weight(ts, ks), nl)
+    write_json(args.out, mdl.model_to_config(written))
     if args.map_out:
         rows = ([float(r), float(t), tm.h(float(r)), float(k)]
                 for r, t, k in zip(grid, ts, ks))
@@ -235,6 +188,7 @@ def cmd_transform(args):
 
 def cmd_verify(args):
     model = mdl.load_model(args.config)
+    check_suite_args(args.delta, args.samples)
     controls = _controls(args)
     alpha_lo = args.alpha_lo if args.alpha_lo is not None else 1.01 * model.u0
     alpha_hi = args.alpha_hi if args.alpha_hi is not None else 50.0 * model.u0

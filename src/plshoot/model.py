@@ -412,13 +412,13 @@ def eval_model(model, r, u):
     }
 
 
-def _strictly_decreasing_violation(values, tol=STRICT_TOL):
-    """First index where consecutive decrease fails (plateau-tolerant)."""
-    for i in range(len(values) - 1):
-        allowed = tol * (1.0 + abs(values[i]))
-        if values[i + 1] - values[i] >= allowed:
-            return i
-    return None
+def decrease_violations(values, tol=STRICT_TOL):
+    """Every index i where values[i+1] - values[i] < tol (1 + |values[i]|)
+    fails: tol > 0 tolerates plateaus, tol < 0 demands a fall of at least
+    |tol| (1 + |values[i]|), and a NaN is a violation."""
+    v = np.asarray(values, dtype=float)
+    ok = np.diff(v) < tol * (1.0 + np.abs(v[:-1]))
+    return np.flatnonzero(~ok).tolist()
 
 
 def check_K1(weight, params, grid):
@@ -452,7 +452,7 @@ def check_K1(weight, params, grid):
             )
         else:
             checks.append(CheckResult("K1_positive", True))
-        j = _strictly_decreasing_violation(gvals)
+        j = (decrease_violations(gvals) or [None])[0]
         if j is None:
             checks.append(CheckResult("K1_decreasing", True))
         else:
@@ -533,7 +533,7 @@ def check_f_hypotheses(nl, params, grid):
     # (f4): u f'(u)/f(u) decreasing above u0 (the quotient is singular
     # at u0 itself, where f vanishes, so u0 is excluded)
     quot = np.array([u * nl.fprime(u) / nl.f(u) for u in above])
-    j = _strictly_decreasing_violation(quot, tol=1e-10)
+    j = (decrease_violations(quot, tol=1e-10) or [None])[0]
     if j is None:
         checks.append(CheckResult("f4_quotient_decreasing", True))
     else:
@@ -571,7 +571,7 @@ _WEIGHT_BUILDERS = {
     "tabulated": (tabulated_weight, ("r", "K")),
 }
 
-_NL_BUILDERS = {
+NL_BUILDERS = {
     "power_diff": (power_diff_nonlinearity, ("q1", "q2")),
 }
 
@@ -582,27 +582,41 @@ def _is_number(value):
             and math.isfinite(value))
 
 
-def _build_from_family(table, section, entry):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{section} must be an object with family/params")
-    extra = set(entry) - {"family", "params"}
+def read_config(path):
+    """JSON of a config file; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
+
+
+def config_object(section, value, keys, required=()):
+    """value if it is a JSON object with no unknown and no missing key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section} must be a JSON object with keys {list(keys)}")
+    extra = set(value) - set(keys)
     if extra:
         raise ConfigError(f"unknown keys in {section}: {sorted(extra)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"missing keys in {section}: {missing}")
+    return value
+
+
+def build_from_family(table, section, entry):
+    entry = config_object(section, entry, ("family", "params"))
     family = entry.get("family")
-    if family not in table:
+    if not isinstance(family, str) or family not in table:
         raise ConfigError(
             f"unknown {section} family {family!r}; known: {sorted(table)}"
         )
     builder, names = table[family]
-    params = entry.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{section} params must be an object")
-    extra = set(params) - set(names)
-    if extra:
-        raise ConfigError(f"unknown {section} params for {family}: {sorted(extra)}")
-    missing = set(names) - set(params)
-    if missing:
-        raise ConfigError(f"missing {section} params for {family}: {sorted(missing)}")
+    params = config_object(f"{section} params for {family}",
+                           entry.get("params", {}), names, names)
     for name in names:
         value = params[name]
         if not (_is_number(value) or (isinstance(value, list)
@@ -627,18 +641,12 @@ def config_number(section, cfg, key, default=None):
 
 def model_from_config(cfg):
     """Build a ProblemModel from a parsed JSON config (strict keys)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("model config must be a JSON object")
-    extra = set(cfg) - {"p", "n", "weight", "nonlinearity"}
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    for key in ("p", "n", "weight", "nonlinearity"):
-        if key not in cfg:
-            raise ConfigError(f"missing config key {key!r}")
+    keys = ("p", "n", "weight", "nonlinearity")
+    cfg = config_object("model config", cfg, keys, keys)
     params = Parameters(config_number("config", cfg, "p"),
                         config_number("config", cfg, "n"))
-    weight = _build_from_family(_WEIGHT_BUILDERS, "weight", cfg["weight"])
-    nl = _build_from_family(_NL_BUILDERS, "nonlinearity", cfg["nonlinearity"])
+    weight = build_from_family(_WEIGHT_BUILDERS, "weight", cfg["weight"])
+    nl = build_from_family(NL_BUILDERS, "nonlinearity", cfg["nonlinearity"])
     return ProblemModel(params, weight, nl)
 
 
@@ -647,7 +655,7 @@ def model_to_config(model):
     w, nl = model.weight, model.nonlinearity
     if w.family not in _WEIGHT_BUILDERS:
         raise ConfigError(f"weight family {w.family!r} is not serializable")
-    if nl.family not in _NL_BUILDERS:
+    if nl.family not in NL_BUILDERS:
         raise ConfigError(f"nonlinearity family {nl.family!r} is not serializable")
     return {
         "p": model.p,
@@ -658,9 +666,4 @@ def model_to_config(model):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return model_from_config(cfg)
+    return model_from_config(read_config(path))

@@ -1,5 +1,5 @@
-"""Deterministic file emission: fixed column orders, 17 significant
-digits for every float, byte-identical output for identical inputs."""
+"""Deterministic file emission: fixed column orders, floats that read
+back bit for bit, byte-identical output for identical inputs."""
 
 import contextlib
 import json
@@ -7,6 +7,8 @@ import math
 import sys
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def fmt17(x):
@@ -23,27 +25,28 @@ def fmt17(x):
     return str(x)
 
 
-def _round_floats(obj):
+def _plain(obj):
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float):
-        return float(fmt17(obj)) if math.isfinite(obj) else obj
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_round_floats(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
 
 
 def json_dumps(obj, indent=None):
-    return json.dumps(_round_floats(obj), indent=indent, allow_nan=True)
+    return json.dumps(_plain(obj), indent=indent, allow_nan=True)
 
 
 def open_out(path):
-    """'-' writes to stdout (left open); anything else is a real file."""
+    """'-' writes to stdout (left open); an unopenable file is a ConfigError."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_csv(path, header, rows):

@@ -32,6 +32,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DomainError, InternalError, StepFailure
+from .model import decrease_violations
 from .quadrature import (
     FloatDenseOutput,
     LogLogTable,
@@ -506,7 +507,7 @@ class InverseProfile:
 
     def __init__(self, traj):
         u, r = traj.u, traj.r
-        if np.any(np.diff(u) > 1e-12 * (1.0 + np.abs(u[:-1]))):
+        if decrease_violations(u, tol=1e-12):
             raise InternalError(
                 "trajectory is not strictly decreasing; cannot invert",
                 witness={"alpha": traj.alpha},

@@ -29,7 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Parameters, ProblemModel, closure_weight
+from .model import (
+    NL_BUILDERS,
+    Parameters,
+    ProblemModel,
+    build_from_family,
+    closure_weight,
+    config_number,
+    config_object,
+    log_grid,
+    read_config,
+)
 from .quadrature import LogLogTable, adaptive_quad, cumulative_quad
 from .shoot import radius_for_arclength, transformed_arclength
 
@@ -111,6 +121,30 @@ def laplace_pair(n):
 
     return GeneralWeightPair(a, da, a, da, a_tail_power=e, family="laplace",
                              params={"n": n})
+
+
+_PAIR_BUILDERS = {
+    "matukuma": (matukuma_pair, ("n", "sigma")),
+    "power": (power_pair, ("k", "l", "s", "sigma", "N")),
+    "laplace": (laplace_pair, ("n",)),
+}
+
+
+def load_transform_config(path):
+    """(p, N, pair, nonlinearity, grid) from a two-weight config file."""
+    keys = ("p", "N", "pair", "nonlinearity", "grid")
+    cfg = config_object("transform config", read_config(path), keys, keys[:4])
+    pair = build_from_family(_PAIR_BUILDERS, "pair", cfg["pair"])
+    nl = build_from_family(NL_BUILDERS, "nonlinearity", cfg["nonlinearity"])
+    grid_cfg = config_object("grid", cfg.get("grid", {}), ("lo", "hi", "points"))
+    grid = log_grid(
+        config_number("grid", grid_cfg, "lo", 1e-4),
+        config_number("grid", grid_cfg, "hi", 1e4),
+        int(config_number("grid", grid_cfg, "points", 80)),
+    )
+    p = config_number("transform config", cfg, "p")
+    N = config_number("transform config", cfg, "N")
+    return p, N, pair, nl, grid
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import CROSSING, POSITIVE, classify
 from .errors import DomainError
-from .model import _strictly_decreasing_violation
+from .model import decrease_violations
 from .shoot import IntegratorControls, capital_I, invert_profile
 from .variational import eval_G, kwong_ratio
 
@@ -258,6 +258,15 @@ def _s_grid(u0, eps_rel, points):
     return np.geomspace(eps_rel * u0, 0.99 * u0, points)
 
 
+def check_suite_args(delta_rel, samples):
+    """verify_suite's argument check, which raises before any shot."""
+    if not samples >= 1:
+        raise DomainError(f"verify_suite needs samples >= 1, got {samples}")
+    if not (math.isfinite(delta_rel) and delta_rel > 0.0):
+        raise DomainError(
+            f"verify_suite needs a finite delta_rel > 0, got {delta_rel}")
+
+
 def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
                  s_points=20):
     """Sample heights on both sides of a converged bracket (within
@@ -279,11 +288,7 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     Failures never raise; each check carries its witnesses.
     """
     controls = controls or IntegratorControls()
-    if not samples >= 1:
-        raise DomainError(f"verify_suite needs samples >= 1, got {samples}")
-    if not (math.isfinite(delta_rel) and delta_rel > 0.0):
-        raise DomainError(
-            f"verify_suite needs a finite delta_rel > 0, got {delta_rel}")
+    check_suite_args(delta_rel, samples)
     u0 = model.u0
     abar = bracket.midpoint
     step = delta_rel * abar / samples
@@ -333,31 +338,30 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     # (b) r0 monotonicity across all sampled heights
     ordered = sorted(
         p_samples + [out_lo, out_hi] + n_samples, key=lambda o: o.alpha)
+    reached = [o for o in ordered if o.r0 is not None]
+    r0 = [o.r0 for o in reached]
+    r0du = [o.r0 * abs(o.du_r0) for o in reached]
+    rises = decrease_violations(r0, _T_STRICT)
+    # r0|u'| must rise by more than _T_STRICT (1 + r0|u'|)
+    falls = decrease_violations(np.negative(r0du), -_T_STRICT)
     wit = []
-    prev = None
-    for out in ordered:
-        if out.r0 is None:
-            continue
-        r0du = out.r0 * abs(out.du_r0)
-        if prev is not None:
-            if out.r0 > prev[1] + _T_STRICT * (1.0 + prev[1]):
-                wit.append({"alpha": out.alpha, "r0": out.r0,
-                            "r0_prev": prev[1], "violated": "r0 non-increasing"})
-            if r0du <= prev[2] * (1.0 + _T_STRICT):
-                wit.append({"alpha": out.alpha, "r0_du": r0du,
-                            "r0_du_prev": prev[2],
-                            "violated": "r0|u'(r0)| increasing"})
-        prev = (out.alpha, out.r0, r0du)
+    for i, out in enumerate(reached[1:]):
+        if i in rises:
+            wit.append({"alpha": out.alpha, "r0": out.r0,
+                        "r0_prev": r0[i], "violated": "r0 non-increasing"})
+        if i in falls:
+            wit.append({"alpha": out.alpha, "r0_du": r0du[i + 1],
+                        "r0_du_prev": r0du[i],
+                        "violated": "r0|u'(r0)| increasing"})
     checks.append(SuiteCheck("r0_monotone", not wit, wit,
                              {"alphas": [o.alpha for o in ordered]}))
 
     # (c) crossing measure strictly increasing with alpha
-    wit = []
     crossing = [out_hi] + [o for o in n_samples if o.kind == CROSSING]
-    for a, b in zip(crossing[:-1], crossing[1:]):
-        if not b.crossing_measure > a.crossing_measure:
-            wit.append({"alpha_lo": a.alpha, "alpha_hi": b.alpha,
-                        "cm_lo": a.crossing_measure, "cm_hi": b.crossing_measure})
+    cm = [o.crossing_measure for o in crossing]
+    wit = [{"alpha_lo": crossing[i].alpha, "alpha_hi": crossing[i + 1].alpha,
+            "cm_lo": cm[i], "cm_hi": cm[i + 1]}
+           for i in decrease_violations(np.negative(cm), 0.0)]
     checks.append(SuiteCheck("crossing_measure_increasing", not wit, wit))
 
     # (d) Kwong ratio at the bracket endpoints
@@ -388,7 +392,7 @@ def verify_suite(model, bracket, delta_rel=1e-2, samples=4, controls=None,
     if abs(gvals[0] + (n - p)) > 2e-2 * (n - p):
         wit.append({"s": float(gs[0]), "G": float(gvals[0]),
                     "expected": -(n - p)})
-    i = _strictly_decreasing_violation(-gvals, tol=_T_STRICT)
+    i = (decrease_violations(-gvals, tol=_T_STRICT) or [None])[0]
     if i is not None:
         wit.append({"s_lo": float(gs[i]), "s_hi": float(gs[i + 1]),
                     "G_lo": float(gvals[i]), "G_hi": float(gvals[i + 1]),

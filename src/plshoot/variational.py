@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, StepFailure
-from .model import _strictly_decreasing_violation
+from .model import decrease_violations
 from .quadrature import FloatDenseOutput, adaptive_quad
 from .shoot import integrate_ivp, invert_profile
 
@@ -221,7 +221,7 @@ def kwong_ratio(traj):
     mask = (traj.r > 0.0) & (traj.r < traj.r0)
     r = traj.r[mask]
     ratio = r * traj.du[mask] / traj.u[mask]
-    i = _strictly_decreasing_violation(ratio, tol=1e-10)
+    i = (decrease_violations(ratio, tol=1e-10) or [None])[0]
     if i is None:
         return True, None, r, ratio
     witness = {

@@ -95,6 +95,13 @@ COMMANDS = (
         ["dirichlet", "--radius", "1.2", "--seed", "8", "--dirichlet-tol", "-1"],
         ["variational", "--alpha", "5", "--out", "var.csv", "--fd-check", "0"],
     )]
+    # an unreadable config and an unwritable output, each a config_error record
+    + [
+        ("check missing.json", [["check", "--config", "missing.json"]]),
+        ("integrate --out nodir/traj.csv",
+         [["integrate", *_cfg("canonical"), "--alpha", "5",
+           "--out", "nodir/traj.csv"]]),
+    ]
 )
 
 
