@@ -19,7 +19,7 @@ from .classify import classify as classify_shot
 from .classify import sweep as classify_sweep
 from .classify import transition_bracket
 from .errors import ConfigError, DomainError, PlshootError, StepFailure
-from .reporting import error_record, json_dumps, write_csv, write_json
+from .reporting import check_out, error_record, json_dumps, write_csv, write_json
 from .shoot import IntegratorControls, energy, integrate_ivp
 from .transform import load_transform_config, transform_ab_to_K
 from .uniqueness import (
@@ -66,6 +66,7 @@ def cmd_check(args):
 def cmd_integrate(args):
     model = mdl.load_model(args.config)
     controls = _controls(args)
+    check_out(args.out)
     traj = integrate_ivp(model, args.alpha, controls)
     write_csv(args.out, ["r", "u", "du", "m", "E"], _trajectory_rows(model, traj))
     summary = {
@@ -102,6 +103,7 @@ def cmd_classify(args):
     controls = _controls(args)
     if (args.alpha is None) == (args.alpha_range is None):
         raise ConfigError("give exactly one of --alpha / --alpha-range")
+    check_out(args.out)
     if args.alpha is not None:
         outcomes = [classify_shot(model, args.alpha, controls)]
     else:
@@ -133,6 +135,7 @@ def cmd_ground_state(args):
 def cmd_dirichlet(args):
     model = mdl.load_model(args.config)
     controls = _controls(args)
+    check_out(args.out)
     sol = solve_dirichlet(model, args.radius, args.seed, args.dirichlet_tol,
                           controls)
     print(json_dumps(sol.to_record(), indent=2))
@@ -149,6 +152,7 @@ def cmd_variational(args):
         raise DomainError(f"--fd-check needs a finite H > 0, got {h}")
     model = mdl.load_model(args.config)
     controls = _controls(args)
+    check_out(args.out)
     traj = integrate_ivp(model, args.alpha, controls)
     state = solve_variational(model, traj)
     rows = ([state.r[i], state.phi[i], state.dphi[i], state.theta[i]]
@@ -174,6 +178,7 @@ def cmd_variational(args):
 
 def cmd_transform(args):
     p, N, pair, nl, grid = load_transform_config(args.config)
+    check_out(args.out, args.map_out)
     tm = transform_ab_to_K(pair, p, N, grid, nl)
     ts = np.array([tm.forward_map(float(r)) for r in grid])
     ks = np.array([tm.model.weight.K(float(t)) for t in ts])
@@ -189,6 +194,7 @@ def cmd_transform(args):
 def cmd_verify(args):
     model = mdl.load_model(args.config)
     check_suite_args(args.delta, args.samples)
+    check_out(args.report)
     controls = _controls(args)
     alpha_lo = args.alpha_lo if args.alpha_lo is not None else 1.01 * model.u0
     alpha_hi = args.alpha_hi if args.alpha_hi is not None else 50.0 * model.u0

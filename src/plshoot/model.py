@@ -415,7 +415,8 @@ def eval_model(model, r, u):
 def decrease_violations(values, tol=STRICT_TOL):
     """Every index i where values[i+1] - values[i] < tol (1 + |values[i]|)
     fails: tol > 0 tolerates plateaus, tol < 0 demands a fall of at least
-    |tol| (1 + |values[i]|), and a NaN is a violation."""
+    |tol| (1 + |values[i]|), and a NaN is a violation.  tol may also give
+    one value per pair."""
     v = np.asarray(values, dtype=float)
     ok = np.diff(v) < tol * (1.0 + np.abs(v[:-1]))
     return np.flatnonzero(~ok).tolist()

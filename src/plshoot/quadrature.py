@@ -56,29 +56,45 @@ def cumulative_quad(f, xs, head_from_zero=False, rel_tol=1e-12, abs_tol=1e-14):
     return out
 
 
-def piecewise_gauss(f, breakpoints, a, b, order=12):
-    """Integrate f over [a, b], splitting at the given breakpoints.
+def gauss_piece(f, lo, hi):
+    """Integral of f over [lo, hi] by the 12-point Gauss-Legendre rule."""
+    nodes, weights = gauss_rule(12)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid + half * nodes
+    return half * float(np.dot(weights, [f(xi) for xi in x]))
+
+
+def piecewise_gauss(f, breakpoints, a, b, whole=None):
+    """Integrate f over [a, b], split at the breakpoints (increasing) that
+    lie inside, with one 12-point Gauss rule per piece, summed left to
+    right.
 
     Intended for integrands built from dense-output polynomials: each
     inter-node piece is smooth, so a fixed Gauss rule per piece is
-    accurate far beyond the integrator tolerance.
+    accurate far beyond the integrator tolerance.  whole(j), if given,
+    stands for gauss_piece over [breakpoints[j], breakpoints[j+1]]
+    (a cached value); the pieces cut at a or b are computed here.
     """
     if b < a:
-        return -piecewise_gauss(f, breakpoints, b, a, order)
+        return -piecewise_gauss(f, breakpoints, b, a, whole)
     if a == b:
         return 0.0
-    pts = np.asarray(breakpoints, dtype=float)
-    inner = pts[(pts > a) & (pts < b)]
-    edges = np.concatenate(([a], inner, [b]))
-    nodes, weights = gauss_rule(order)
+    pts = breakpoints
+    i = int(np.searchsorted(pts, a, side="right"))
+    k = int(np.searchsorted(pts, b, side="left"))
+    edges = [a, *pts[i:k], b]
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    # piece j of the breakpoints is [pts[j], pts[j+1]]; only the first
+    # and the last edge can fall between breakpoints
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]), start=i - 1):
         if hi <= lo:
             continue
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x = mid + half * nodes
-        total += half * float(np.dot(weights, [f(xi) for xi in x]))
+        if (whole is not None and 0 <= j < len(pts) - 1
+                and lo == pts[j] and hi == pts[j + 1]):
+            total += whole(j)
+        else:
+            total += gauss_piece(f, lo, hi)
     return total
 
 

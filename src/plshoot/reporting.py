@@ -4,6 +4,7 @@ back bit for bit, byte-identical output for identical inputs."""
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -39,14 +40,28 @@ def json_dumps(obj, indent=None):
     return json.dumps(_plain(obj), indent=indent, allow_nan=True)
 
 
-def open_out(path):
+def open_out(path, mode="w"):
     """'-' writes to stdout (left open); an unopenable file is a ConfigError."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def check_out(*paths):
+    """Raise now the ConfigError that writing any of the paths (None is
+    no output) would raise later, so a command fails before its work.
+    Leaves every file as it was: an existing one is opened for append
+    and not written, a new one is removed again."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        existed = os.path.lexists(path)
+        open_out(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def write_csv(path, header, rows):

@@ -4,7 +4,11 @@
 
 stopped at the first of u = 0, u' = 0 (below u0) or r = r_max, plus the
 trajectory functionals built on top of it (energy, inverse profile, the
-comparison quantities Fbar/I/W).
+comparison quantities Fbar/I/W).  The integral functionals, Fbar and
+the flux residual, read each trajectory's table of per-node Gauss
+pieces (Trajectory.integral): a whole piece is integrated once per
+trajectory and integrand, and only the pieces cut by a query's ends
+are integrated afresh.
 
 The integrated state is (u, m) with m = r^{n-1} |u'|^{p-2} u', never
 (u, u''): m' = -r^{n-1} K f(u) stays smooth where u' vanishes, and u' is
@@ -38,6 +42,7 @@ from .quadrature import (
     LogLogTable,
     adaptive_quad,
     cumulative_quad,
+    gauss_piece,
     piecewise_gauss,
     sign_power,
 )
@@ -291,6 +296,7 @@ class Trajectory:
     truncated: bool = False
     tail_r_du: float | None = None  # r |u'| diagnostic at r_max shots
     _inverse: object = field(default=None, repr=False)
+    _pieces: dict = field(default_factory=dict, repr=False)
 
     @property
     def R(self):
@@ -314,6 +320,25 @@ class Trajectory:
             if r <= seg.r_hi * (1.0 + 1e-15):
                 return seg.eval(min(r, seg.r_hi))
         return seg.eval(seg.r_hi)
+
+    def integral(self, key, integrand, a, b):
+        """Integral over [a, b] of integrand(r, u, u', m) along the dense
+        trajectory, split at the nodes (each piece is smooth), one Gauss
+        rule per piece.  The whole node pieces come from a table kept per
+        key, each computed on first use; key names the integrand,
+        including the model it reads K and f from."""
+        pieces = self._pieces.setdefault(key, [None] * (len(self.r) - 1))
+
+        def f(r):
+            u, du, m = self.eval(r)
+            return integrand(r, u, du, m)
+
+        def whole(j):
+            if pieces[j] is None:
+                pieces[j] = gauss_piece(f, self.r[j], self.r[j + 1])
+            return pieces[j]
+
+        return piecewise_gauss(f, self.r, a, b, whole)
 
     def u_at(self, r):
         return self.eval(r)[0]
@@ -546,21 +571,11 @@ def invert_profile(traj):
     return traj._inverse
 
 
-def trajectory_integral(traj, integrand, a, b):
-    """Integral over [a, b] of integrand(r, u, u', m) along the dense
-    trajectory, split at the solver nodes (each piece is smooth)."""
-
-    def f(r):
-        u, du, m = traj.eval(r)
-        return integrand(r, u, du, m)
-
-    return piecewise_gauss(f, traj.r, a, b)
-
-
 def flux_residual(model, traj, r):
     """Residual of the integrated equation at radius r:
     m(r) + int_0^r s^{n-1} K f(u) ds, which is identically zero for the
-    exact solution (independent quadrature on the dense output)."""
+    exact solution (independent quadrature on the dense output, the
+    trajectory's table of node pieces from 0 up to r)."""
     n = model.n
     K = model.weight.K
     f = model.nonlinearity.f_clamped
@@ -568,7 +583,7 @@ def flux_residual(model, traj, r):
     def integrand(s, u, du, m):
         return s ** (n - 1.0) * K(s) * f(u)
 
-    integral = trajectory_integral(traj, integrand, 0.0, r)
+    integral = traj.integral(("flux", model), integrand, 0.0, r)
     m_r = traj.eval(r)[2]
     return m_r + integral
 
@@ -579,7 +594,9 @@ def fbar(model, traj_ref, s):
 
         Fbar(s) = int_{t1(s)}^{R1} r^p K(r) f(u1(r)) |u1'(r)| dr,
 
-    which avoids interpolating the singular 1/u1' near s = u0."""
+    which avoids interpolating the singular 1/u1' near s = u0.  The
+    node pieces from t1(s) up to R come from the reference shot's table,
+    built once per shot and model."""
     p = model.p
     K = model.weight.K
     f = model.nonlinearity.f_clamped
@@ -589,7 +606,7 @@ def fbar(model, traj_ref, s):
     def integrand(r, u, du, m):
         return r**p * K(r) * f(u) * abs(du)
 
-    return trajectory_integral(traj_ref, integrand, r_s, traj_ref.R)
+    return traj_ref.integral(("fbar", model), integrand, r_s, traj_ref.R)
 
 
 def capital_I(model, traj_ref, traj, s, with_W=True):
